@@ -42,28 +42,22 @@ from .families import (
     make_gamma,
     make_werner,
 )
-from .filtering import FilterAnnihilates, FilterPair, modified_protocol_useful
+from .filtering import FilterPair, useful_q_start
 from .protocol import ProtocolConfig, run_protocol
 from .qber import (
     classify_usefulness,
     min_secure_key_rate,
     optimal_triads,
-    qber_min,
     qber_min_two_settings,
 )
 from .qstate import DensityMatrix, bloch_decompose, tensor_spectrum
 
+# One row per family: params class, maker, and state-file parameter names.
 _FAMILY_MAKERS = {
-    "werner": (WernerParams, make_werner, ("omega",)),
-    "gamma": (GammaParams, make_gamma, ("q", "alpha")),
-    "bell_diagonal": (BellDiagonalParams, make_bell_diagonal, ("w1", "w2", "w3", "w4")),
-}
-
-# Parameter domains used to validate scan ranges up front.
-_FAMILY_DOMAINS = {
-    "werner": {"omega": (0.0, 1.0)},
-    "gamma": {"q": (0.0, 1.0), "alpha": (0.0, math.pi / 4.0)},
-    "bell_diagonal": {"w1": (0.0, 1.0), "w2": (0.0, 1.0), "w3": (0.0, 1.0)},
+    "werner": (WernerParams, make_werner, tuple(WernerParams.DOMAIN)),
+    "gamma": (GammaParams, make_gamma, tuple(GammaParams.DOMAIN)),
+    "bell_diagonal": (BellDiagonalParams, make_bell_diagonal,
+                      tuple(BellDiagonalParams.DOMAIN)),
 }
 
 
@@ -134,6 +128,11 @@ def load_state_file(path: str) -> tuple[DensityMatrix, dict]:
         "family": data["family"], "params": data.get("params")}
 
 
+def _is_number(v) -> bool:
+    """JSON numbers only: json.loads gives bool for true/false, and bool is an int."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 def _parse_matrix(path: str, rows) -> DensityMatrix:
     if not isinstance(rows, list) or len(rows) != 4:
         raise ParseError(f"{path}: 'matrix' must contain 4 rows")
@@ -143,7 +142,7 @@ def _parse_matrix(path: str, rows) -> DensityMatrix:
             raise ParseError(f"{path}: matrix row {i} must contain 4 entries")
         for j, entry in enumerate(row):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
+                    or not all(_is_number(v) for v in entry)):
                 raise ParseError(
                     f"{path}: matrix[{i}][{j}] must be a [re, im] number pair")
             mat[i, j] = complex(entry[0], entry[1])
@@ -166,7 +165,7 @@ def _parse_family(path: str, data: dict) -> DensityMatrix:
             f"{list(fields)}, got {sorted(params)}")
     values = {}
     for key in fields:
-        if not isinstance(params[key], (int, float)):
+        if not _is_number(params[key]):
             raise ParseError(f"{path}: params.{key} must be a number")
         values[key] = float(params[key])
     return maker(params_cls(**values))
@@ -240,22 +239,24 @@ def scan_result(family: str, range_args: list[str]) -> ScanResult:
     if family not in _FAMILY_MAKERS:
         raise BadRange(
             f"unknown family {family!r}; expected one of {sorted(_FAMILY_MAKERS)}")
-    domains = _FAMILY_DOMAINS[family]
+    params_cls, maker, fields = _FAMILY_MAKERS[family]
+    bell = family == "bell_diagonal"
+    scanned = fields[:-1] if bell else fields
     parsed = [_parse_range(r) for r in range_args]
     seen = [k for k, *_ in parsed]
-    if sorted(seen) != sorted(domains):
+    if sorted(seen) != sorted(scanned):
         raise BadRange(
             f"family {family!r} needs exactly one range per parameter "
-            f"{sorted(domains)}, got {seen}")
+            f"{sorted(scanned)}, got {seen}")
     for key, lo, hi, _ in parsed:
-        dom_lo, dom_hi = domains[key]
-        if lo < dom_lo - 1e-12 or hi > dom_hi + 1e-12:
+        dom_lo, dom_hi = params_cls.DOMAIN[key]
+        if lo < dom_lo or hi > dom_hi:
             raise BadRange(
                 f"range for {key!r} must stay within [{dom_lo:g}, {dom_hi:g}]")
 
     param_names = [k for k, *_ in parsed]
     grids = [_grid(lo, hi, step) for _, lo, hi, step in parsed]
-    if family == "bell_diagonal":
+    if bell:
         header = (*param_names, "w4", "f3_bound", "chsh_bound", "q_min",
                   "steerable", "useful", "chsh_violating", "absolutely_local")
     else:
@@ -269,24 +270,20 @@ def scan_result(family: str, range_args: list[str]) -> ScanResult:
     for point in stack:
         kwargs = dict(zip(param_names, point))
         extra_cols: tuple[float, ...] = ()
-        if family == "bell_diagonal":
+        if bell:
             w4 = 1.0 - sum(kwargs.values())
             if w4 < -1e-9:
                 continue
             w4 = max(w4, 0.0)
-            params = BellDiagonalParams(kwargs["w1"], kwargs["w2"], kwargs["w3"], w4)
-            state = make_bell_diagonal(params)
+            kwargs["w4"] = w4
             extra_cols = (w4,)
-        elif family == "werner":
-            state = make_werner(WernerParams(**kwargs))
-        else:
-            state = make_gamma(GammaParams(**kwargs))
-        spec = tensor_spectrum(bloch_decompose(state))
+        params = params_cls(**kwargs)
+        spec = tensor_spectrum(bloch_decompose(maker(params)))
         sv = steering.verdict(spec)
         uv = classify_usefulness(spec)
         row = (*point, *extra_cols, sv.f3_bound, sv.chsh_bound, uv.q_min,
                float(sv.steerable), float(uv.useful), float(sv.chsh_violating))
-        if family == "bell_diagonal":
+        if bell:
             row = row + (float(steering.belldiag_absolutely_chsh_local(params.weights)),)
         rows.append(row)
     return ScanResult(header=header, rows=tuple(rows))
@@ -348,47 +345,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     }
     _emit(json.dumps(_jsonable(payload), indent=2) + "\n", args.out)
     return 0
-
-
-def useful_q_start(alpha: float, filter_pair: FilterPair, q_step: float,
-                   tol: float = 1e-3) -> float | None:
-    """Infimum q above which the filtered gamma state stays useful.
-
-    Scans the q grid (q_step, 2 q_step, ..., 1) from the top down to find
-    the contiguous useful tail, then bisects the boundary to ``tol``.
-    Returns None when even q = 1 is not useful.  Annihilating filters
-    count as not useful.
-    """
-    def useful(q: float) -> bool:
-        try:
-            return modified_protocol_useful(
-                make_gamma(GammaParams(q=q, alpha=alpha)), filter_pair)
-        except FilterAnnihilates:
-            return False
-
-    count = int(math.floor(1.0 / q_step + 1e-9))
-    grid = [min((i + 1) * q_step, 1.0) for i in range(count)]
-    if grid[-1] < 1.0 - 1e-12:
-        grid.append(1.0)
-    if not useful(grid[-1]):
-        return None
-    start_idx = len(grid) - 1
-    while start_idx > 0 and useful(grid[start_idx - 1]):
-        start_idx -= 1
-    q_true = grid[start_idx]
-    if start_idx > 0:
-        q_false = grid[start_idx - 1]
-    else:
-        if useful(0.0):
-            return 0.0
-        q_false = 0.0
-    while q_true - q_false > tol:
-        mid = 0.5 * (q_true + q_false)
-        if useful(mid):
-            q_true = mid
-        else:
-            q_false = mid
-    return q_true
 
 
 def table1_result(eps1: float, eps2: float, alphas: list[float],

@@ -17,15 +17,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from . import steering
-from .errors import BadParam, BadWeights
-from .qstate import DensityMatrix
-
-SQRT3 = math.sqrt(3.0)
+from .errors import BadParam
+from .qstate import SQRT3, DensityMatrix
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -46,16 +44,24 @@ class FamilyPredicates(NamedTuple):
     useful: bool
 
 
-def _check_range(name: str, value: float, lo: float, hi: float) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value < lo or value > hi:
-        raise BadParam(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
-    return value
+def _check_domain(params) -> None:
+    """Coerce each field of ``params`` to float and check it against DOMAIN."""
+    for name, (lo, hi) in params.DOMAIN.items():
+        value = float(getattr(params, name))
+        if not math.isfinite(value) or value < lo or value > hi:
+            raise BadParam(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
+        object.__setattr__(params, name, value)
 
 
 @dataclass(frozen=True)
 class BellDiagonalParams:
-    """Mixing weights on (psi-, phi+, phi-, psi+); a probability simplex point."""
+    """Mixing weights on (psi-, phi+, phi-, psi+); a probability simplex point.
+
+    Scans range over w1-w3 within DOMAIN and derive w4.
+    """
+
+    DOMAIN: ClassVar = {"w1": (0.0, 1.0), "w2": (0.0, 1.0),
+                        "w3": (0.0, 1.0), "w4": (0.0, 1.0)}
 
     w1: float
     w2: float
@@ -63,14 +69,7 @@ class BellDiagonalParams:
     w4: float
 
     def __post_init__(self) -> None:
-        ws = (self.w1, self.w2, self.w3, self.w4)
-        ws = tuple(float(x) for x in ws)
-        if any(not math.isfinite(x) for x in ws):
-            raise BadWeights("weights must be finite")
-        if any(x < -1e-10 or x > 1.0 + 1e-10 for x in ws):
-            raise BadWeights(f"weights outside [0, 1]: {ws}")
-        if abs(sum(ws) - 1.0) > 1e-10:
-            raise BadWeights(f"weights sum to {sum(ws)!r}, expected 1")
+        ws = steering._validated_weights((self.w1, self.w2, self.w3, self.w4))
         for name, val in zip(("w1", "w2", "w3", "w4"), ws):
             object.__setattr__(self, name, val)
 
@@ -81,17 +80,19 @@ class BellDiagonalParams:
     @classmethod
     def from_werner(cls, omega: float) -> "BellDiagonalParams":
         """Werner state embedding: w1 = (1+3 omega)/4, the rest (1-omega)/4."""
-        omega = _check_range("omega", omega, 0.0, 1.0)
+        omega = WernerParams(omega).omega
         rest = (1.0 - omega) / 4.0
         return cls((1.0 + 3.0 * omega) / 4.0, rest, rest, rest)
 
 
 @dataclass(frozen=True)
 class WernerParams:
+    DOMAIN: ClassVar = {"omega": (0.0, 1.0)}
+
     omega: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "omega", _check_range("omega", self.omega, 0.0, 1.0))
+        _check_domain(self)
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,13 @@ class GammaParams:
     alpha values outside the stated domain are rejected, not wrapped.
     """
 
+    DOMAIN: ClassVar = {"q": (0.0, 1.0), "alpha": (0.0, math.pi / 4.0)}
+
     q: float
     alpha: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "q", _check_range("q", self.q, 0.0, 1.0))
-        object.__setattr__(
-            self, "alpha", _check_range("alpha", self.alpha, 0.0, math.pi / 4.0))
+        _check_domain(self)
 
 
 def make_bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:

@@ -8,6 +8,8 @@ shared state is replaced by the renormalised success branch
 
 Filtering can pull initially useless (even unsteerable) states below the
 critical error rate at the price of discarding the failed rounds.
+:func:`useful_q_start` finds, for the gamma family, the lowest q from
+which a given filter pair keeps the state useful.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParam, FilterAnnihilates
+from .families import GammaParams, make_gamma
 from .qber import critical_qber, qber_min
 from .qstate import DensityMatrix, bloch_decompose, tensor_spectrum
 
@@ -50,15 +53,11 @@ class FilterOutcome:
 
     ``q_min_filtered`` is the minimal three-setting error rate of the
     filtered state and is the canonical post-filter QBER.
-    ``literal_keyn_product`` is the product p_succ * q_min(pre-filter
-    state), exposed for transparency; it is not used by any decision in
-    this package (it disagrees with the worked post-filter error rate).
     """
 
     filtered_state: DensityMatrix
     p_succ: float
     q_min_filtered: float
-    literal_keyn_product: float
 
 
 def filter_branch_probabilities(rho: DensityMatrix, f: FilterPair) -> np.ndarray:
@@ -95,13 +94,10 @@ def apply_local_filters(rho: DensityMatrix, f: FilterPair) -> FilterOutcome:
         raise FilterAnnihilates(
             f"filter ({f.eps1}, {f.eps2}) succeeds with probability {p_succ:.3e}")
     filtered = DensityMatrix(unnormalised / p_succ)
-    q_before = qber_min(tensor_spectrum(bloch_decompose(rho)))
-    q_after = qber_min(tensor_spectrum(bloch_decompose(filtered)))
     return FilterOutcome(
         filtered_state=filtered,
         p_succ=p_succ,
-        q_min_filtered=q_after,
-        literal_keyn_product=p_succ * q_before,
+        q_min_filtered=qber_min(tensor_spectrum(bloch_decompose(filtered))),
     )
 
 
@@ -133,3 +129,44 @@ def filter_search(rho: DensityMatrix, grid_step: float) -> list[FilterPair]:
             except FilterAnnihilates:
                 continue
     return found
+
+
+def useful_q_start(alpha: float, filter_pair: FilterPair, q_step: float,
+                   tol: float = 1e-3) -> float | None:
+    """Infimum q above which the filtered gamma state stays useful.
+
+    Scans the q grid (q_step, 2 q_step, ..., 1) from the top down to find
+    the contiguous useful tail, then bisects the boundary to ``tol``.
+    Returns None when even q = 1 is not useful.  Annihilating filters
+    count as not useful.
+    """
+    def useful(q: float) -> bool:
+        try:
+            return modified_protocol_useful(
+                make_gamma(GammaParams(q=q, alpha=alpha)), filter_pair)
+        except FilterAnnihilates:
+            return False
+
+    count = int(math.floor(1.0 / q_step + 1e-9))
+    grid = [min((i + 1) * q_step, 1.0) for i in range(count)]
+    if grid[-1] < 1.0 - 1e-12:
+        grid.append(1.0)
+    if not useful(grid[-1]):
+        return None
+    start_idx = len(grid) - 1
+    while start_idx > 0 and useful(grid[start_idx - 1]):
+        start_idx -= 1
+    q_true = grid[start_idx]
+    if start_idx > 0:
+        q_false = grid[start_idx - 1]
+    else:
+        if useful(0.0):
+            return 0.0
+        q_false = 0.0
+    while q_true - q_false > tol:
+        mid = 0.5 * (q_true + q_false)
+        if useful(mid):
+            q_true = mid
+        else:
+            q_false = mid
+    return q_true

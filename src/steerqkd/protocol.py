@@ -26,6 +26,7 @@ therefore reproduce bit-identical reports.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,7 @@ from .families import BellDiagonalParams, make_bell_diagonal
 from .filtering import FilterPair, apply_local_filters
 from .qber import UsefulnessVerdict, classify_usefulness
 from .qstate import (
+    SQRT3,
     BlochForm,
     DensityMatrix,
     MeasurementTriad,
@@ -44,7 +46,15 @@ from .qstate import (
     tensor_spectrum,
 )
 
-SQRT3 = math.sqrt(3.0)
+
+def _integer(value) -> int | None:
+    """``value`` as a Python int if it has an integral type other than bool."""
+    if isinstance(value, (bool, np.bool_)):
+        return None
+    try:
+        return operator.index(value)
+    except TypeError:
+        return None
 
 
 @dataclass(frozen=True)
@@ -65,10 +75,13 @@ class ProtocolConfig:
     filter: FilterPair | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.rounds, int) or self.rounds < 1:
+        rounds, seed = _integer(self.rounds), _integer(self.seed)
+        if rounds is None or rounds < 1:
             raise BadParam(f"rounds must be a positive integer, got {self.rounds!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if seed is None or not 0 <= seed < 2 ** 64:
             raise BadParam(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
+        object.__setattr__(self, "rounds", rounds)
+        object.__setattr__(self, "seed", seed)
         tf = float(self.test_fraction)
         if not math.isfinite(tf) or not 0.0 < tf < 1.0:
             raise BadParam(f"test_fraction must lie in (0, 1), got {tf!r}")

@@ -22,25 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParam, BadQber, BadViolation
-from .qstate import BlochForm, MeasurementTriad, TensorSpectrum
-
-SQRT3 = math.sqrt(3.0)
+from .qstate import SQRT3, BlochForm, MeasurementTriad, TensorSpectrum
 
 #: Largest QBER attainable with an optimal triad pair on a non-steerable
 #: state; states achieving a strictly lower rate are useful for key
 #: generation.
 CRITICAL_QBER = (3.0 - SQRT3) / 6.0
-
-# The six signed coordinate axes, grouped as (+z,-z), (+x,-x), (+y,-y):
-# the three qubit MUBs with both sign labelings per axis.
-SIGNED_AXES = np.array([
-    [0.0, 0.0, 1.0],
-    [0.0, 0.0, -1.0],
-    [1.0, 0.0, 0.0],
-    [-1.0, 0.0, 0.0],
-    [0.0, 1.0, 0.0],
-    [0.0, -1.0, 0.0],
-])
 
 _BASE_AXES = np.array([
     [0.0, 0.0, 1.0],
@@ -164,6 +151,17 @@ def classify_usefulness(spec: TensorSpectrum) -> UsefulnessVerdict:
     )
 
 
+def _implied_lam11(violation: float, lam22: float, lam33: float) -> float | None:
+    """Check both tests' arguments; return the implied lam11, None if imaginary."""
+    if not math.isfinite(violation) or violation <= 0.0 or violation > SQRT3 + 1e-12:
+        raise BadViolation(f"violation {violation!r} outside (0, sqrt(3)]")
+    for name, lam in (("lam22", lam22), ("lam33", lam33)):
+        if not math.isfinite(lam) or lam < 0.0 or lam > 1.0:
+            raise BadParam(f"{name} must lie in [0, 1], got {lam!r}")
+    radicand = violation ** 2 - lam22 ** 2 - lam33 ** 2
+    return math.sqrt(radicand) if radicand >= 0.0 else None
+
+
 def useful_region_given_violation(
         violation: float, lam22: float, lam33: float,
 ) -> tuple[float, float] | None:
@@ -182,15 +180,9 @@ def useful_region_given_violation(
     radicand).  See :func:`certifies_useful_symmetric` for the symmetric
     three-term usefulness test.
     """
-    if not math.isfinite(violation) or violation <= 0.0 or violation > SQRT3 + 1e-12:
-        raise BadViolation(f"violation {violation!r} outside (0, sqrt(3)]")
-    for name, lam in (("lam22", lam22), ("lam33", lam33)):
-        if not math.isfinite(lam) or lam < 0.0 or lam > 1.0:
-            raise BadParam(f"{name} must lie in [0, 1], got {lam!r}")
-    radicand = violation ** 2 - lam22 ** 2 - lam33 ** 2
-    if radicand < 0.0:
+    lam11 = _implied_lam11(violation, lam22, lam33)
+    if lam11 is None:
         return None
-    lam11 = math.sqrt(radicand)
     low = (SQRT3 - lam22) / 2.0
     if low < lam11 <= 1.0:
         return (low, 1.0)
@@ -205,13 +197,8 @@ def certifies_useful_symmetric(violation: float, lam22: float, lam33: float) -> 
     :func:`useful_region_given_violation`, which preserves the asymmetric
     source form; tests document where the two disagree.
     """
-    if not math.isfinite(violation) or violation <= 0.0 or violation > SQRT3 + 1e-12:
-        raise BadViolation(f"violation {violation!r} outside (0, sqrt(3)]")
-    radicand = violation ** 2 - lam22 ** 2 - lam33 ** 2
-    if radicand < 0.0:
-        return False
-    lam11 = math.sqrt(radicand)
-    return lam11 <= 1.0 and lam11 + lam22 + lam33 > SQRT3
+    lam11 = _implied_lam11(violation, lam22, lam33)
+    return lam11 is not None and lam11 <= 1.0 and lam11 + lam22 + lam33 > SQRT3
 
 
 def min_secure_key_rate(q: float) -> float:

@@ -19,6 +19,7 @@ always tolerance-based; use :func:`matrices_close` rather than ``==``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,9 @@ PSD_FLOOR = -1e-9
 
 # Measurement directions must be unit length / orthogonal within this.
 DIRECTION_TOL = 1e-9
+
+#: sqrt(3), the three-setting scale shared by the steering and error-rate formulas.
+SQRT3 = math.sqrt(3.0)
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)

@@ -15,12 +15,11 @@ from .errors import BadWeights
 from .qstate import (
     BlochForm,
     DensityMatrix,
+    SQRT3,
     MeasurementTriad,
     TensorSpectrum,
     bloch_decompose,
 )
-
-SQRT3 = math.sqrt(3.0)
 
 #: Weights may miss the probability simplex by at most this much.
 WEIGHT_TOL = 1e-10

@@ -45,7 +45,7 @@ from steerqkd.families import (
 )
 from steerqkd.qstate import TensorSpectrum
 from steerqkd.steering import belldiag_absolutely_chsh_local, belldiag_f3_steerable
-from steerqkd.cli import useful_q_start
+from steerqkd.filtering import useful_q_start
 from conftest import random_density_matrix, random_triad
 
 SQRT3 = math.sqrt(3.0)

@@ -13,9 +13,10 @@ from steerqkd.cli import (
     main,
     scan_result,
     table1_result,
-    useful_q_start,
 )
+from steerqkd.errors import BadRange, ParseError
 from steerqkd.families import WernerParams
+from steerqkd.filtering import useful_q_start
 
 SQRT3 = math.sqrt(3.0)
 
@@ -72,6 +73,21 @@ class TestStateFiles:
 
     def test_missing_file(self):
         assert main(["analyze", "/nonexistent/state.json"]) == 2
+
+    def test_rejects_boolean_param(self, tmp_path):
+        path = write_state(tmp_path, "bad.json",
+                           {"family": "werner", "params": {"omega": True}})
+        with pytest.raises(ParseError):
+            load_state_file(path)
+        assert main(["analyze", path]) == 2
+
+    def test_rejects_boolean_matrix_entry(self, tmp_path):
+        payload = matrix_payload(np.diag([1.0, 0.0, 0.0, 0.0]))
+        payload["matrix"][0][0] = [True, 0.0]
+        path = write_state(tmp_path, "bad.json", payload)
+        with pytest.raises(ParseError):
+            load_state_file(path)
+        assert main(["analyze", path]) == 2
 
 
 class TestAnalyze:
@@ -146,6 +162,19 @@ class TestScan:
         out = str(tmp_path / "scan.csv")
         assert main(["scan", "--family", "werner",
                      "--range", "omega=0:2:0.5", "--out", out]) == 2
+
+    @pytest.mark.parametrize("family, fixed, key, edge, past", [
+        ("werner", [], "omega", "1", "1.0000000000001"),
+        ("gamma", ["q=0:1:0.5"], "alpha", repr(math.pi / 4), "0.785398163397449"),
+    ])
+    def test_domain_edge_is_strict(self, tmp_path, family, fixed, key, edge, past):
+        out = str(tmp_path / "scan.csv")
+        argv = ["scan", "--family", family, "--out", out]
+        for r in fixed:
+            argv += ["--range", r]
+        assert main(argv + ["--range", f"{key}=0:{edge}:{edge}"]) == 0
+        with pytest.raises(BadRange, match="must stay within"):
+            scan_result(family, [*fixed, f"{key}=0:{past}:{past}"])
 
     def test_csv_ends_with_newline(self):
         res = scan_result("werner", ["omega=0:1:0.5"])

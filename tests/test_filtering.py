@@ -103,16 +103,6 @@ class TestApplyLocalFilters:
         assert out.p_succ == pytest.approx(1.0, abs=1e-12)
         assert rho.isclose(out.filtered_state, tol=1e-10)
 
-    def test_literal_product_uses_prefilter_rate(self):
-        rng = np.random.default_rng(116)
-        for _ in range(50):
-            rho = random_density_matrix(rng)
-            f = FilterPair(rng.uniform(0.1, 1.0), rng.uniform(0.1, 1.0))
-            out = apply_local_filters(rho, f)
-            before = qber_min(tensor_spectrum(bloch_decompose(rho)))
-            assert out.literal_keyn_product == pytest.approx(out.p_succ * before,
-                                                             abs=1e-12)
-
     def test_annihilation(self):
         rho = DensityMatrix.from_ket(np.array([1.0, 0.0, 0.0, 0.0]))
         with pytest.raises(FilterAnnihilates):

@@ -53,6 +53,27 @@ class TestConfigValidation:
         with pytest.raises(BadParam):
             werner_config(100, -1)
 
+    def test_numpy_integers_match_python_ints(self):
+        rho = make_werner(WernerParams(0.8))
+        want = run_protocol(rho, werner_config(1000, 3))
+        for rounds, seed in ((np.int64(1000), np.uint64(3)),
+                             (np.int32(1000), np.int8(3))):
+            cfg = werner_config(rounds, seed)
+            assert type(cfg.rounds) is int and type(cfg.seed) is int
+            got = run_protocol(rho, cfg)
+            assert got.sifted_count == want.sifted_count
+            assert got.empirical_qber == want.empirical_qber
+            assert got.correlators == want.correlators
+            assert np.array_equal(got.raw_key_alice, want.raw_key_alice)
+            assert np.array_equal(got.raw_key_bob, want.raw_key_bob)
+
+    @pytest.mark.parametrize("rounds, seed", [
+        (True, 1), (1.0, 1), (100, True), (100, 1.0), (np.bool_(True), 1),
+    ])
+    def test_rejects_bool_and_float_integers(self, rounds, seed):
+        with pytest.raises(BadParam):
+            werner_config(rounds, seed)
+
 
 class TestDeterminism:
     def test_same_seed_same_report(self):

@@ -190,6 +190,16 @@ class TestViolationCertification:
         with pytest.raises(BadParam):
             useful_region_given_violation(1.2, 0.5, 1.5)
 
+    @pytest.mark.parametrize("lam22, lam33", [
+        (1.5, 0.0), (-0.1, 0.5), (0.5, 1.0 + 1e-9),
+        (math.nan, 0.5), (0.5, math.inf), (-math.inf, 0.5),
+    ])
+    def test_both_variants_reject_the_same_magnitudes(self, lam22, lam33):
+        with pytest.raises(BadParam):
+            useful_region_given_violation(1.7, lam22, lam33)
+        with pytest.raises(BadParam):
+            certifies_useful_symmetric(1.7, lam22, lam33)
+
     def test_symmetric_variant_matches_spectrum_sum(self):
         rng = np.random.default_rng(89)
         hits = 0
