@@ -272,7 +272,7 @@ def scan_result(family: str, range_args: list[str]) -> ScanResult:
         extra_cols: tuple[float, ...] = ()
         if bell:
             w4 = 1.0 - sum(kwargs.values())
-            if w4 < -1e-9:
+            if w4 < -steering.WEIGHT_TOL:
                 continue
             w4 = max(w4, 0.0)
             kwargs["w4"] = w4
@@ -349,8 +349,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def table1_result(eps1: float, eps2: float, alphas: list[float],
                   q_step: float) -> ScanResult:
-    if not 0.0 < q_step <= 0.5:
-        raise BadRange(f"qstep must lie in (0, 0.5], got {q_step!r}")
     filter_pair = FilterPair(eps1, eps2)
     rows = []
     for alpha in alphas:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import steering
 from .errors import BadParam
-from .qstate import SQRT3, DensityMatrix
+from .qstate import SQRT3, DensityMatrix, _as_real
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -47,7 +47,7 @@ class FamilyPredicates(NamedTuple):
 def _check_domain(params) -> None:
     """Coerce each field of ``params`` to float and check it against DOMAIN."""
     for name, (lo, hi) in params.DOMAIN.items():
-        value = float(getattr(params, name))
+        value = _as_real(getattr(params, name), BadParam, name)
         if not math.isfinite(value) or value < lo or value > hi:
             raise BadParam(f"{name} must lie in [{lo:g}, {hi:g}], got {value!r}")
         object.__setattr__(params, name, value)

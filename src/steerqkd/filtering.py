@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import BadParam, FilterAnnihilates
-from .families import GammaParams, make_gamma
+from .families import GammaParams, _check_domain, make_gamma
 from .qber import critical_qber, qber_min
 from .qstate import DensityMatrix, bloch_decompose, tensor_spectrum
 
@@ -32,15 +33,13 @@ ANNIHILATION_THRESHOLD = 1e-12
 class FilterPair:
     """Filter strengths (eps1 for Alice, eps2 for Bob), both in [0, 1]."""
 
+    DOMAIN: ClassVar = {"eps1": (0.0, 1.0), "eps2": (0.0, 1.0)}
+
     eps1: float
     eps2: float
 
     def __post_init__(self) -> None:
-        for name in ("eps1", "eps2"):
-            val = float(getattr(self, name))
-            if not math.isfinite(val) or val < 0.0 or val > 1.0:
-                raise BadParam(f"{name} must lie in [0, 1], got {val!r}")
-            object.__setattr__(self, name, val)
+        _check_domain(self)
 
     def success_operator(self) -> np.ndarray:
         """The two-party success branch M_A x M_B = diag(e1 e2, e1, e2, 1)."""
@@ -106,6 +105,15 @@ def modified_protocol_useful(rho: DensityMatrix, f: FilterPair) -> bool:
     return apply_local_filters(rho, f).q_min_filtered < critical_qber()
 
 
+def _step_grid(name: str, step) -> list[float]:
+    """The grid (step, 2 step, ..., <= 1); ``step`` must be finite, in (0, 0.5]."""
+    step = float(step)
+    if not math.isfinite(step) or step <= 0.0 or step > 0.5:
+        raise BadParam(f"{name} must lie in (0, 0.5], got {step!r}")
+    count = int(math.floor(1.0 / step + 1e-9))
+    return [min((i + 1) * step, 1.0) for i in range(count)]
+
+
 def filter_search(rho: DensityMatrix, grid_step: float) -> list[FilterPair]:
     """Scan a (eps1, eps2) grid for filters that make ``rho`` useful.
 
@@ -114,15 +122,11 @@ def filter_search(rho: DensityMatrix, grid_step: float) -> list[FilterPair]:
     points whose filters annihilate the state are skipped.  An empty list
     is a valid result.
     """
-    grid_step = float(grid_step)
-    if not math.isfinite(grid_step) or grid_step <= 0.0 or grid_step > 0.5:
-        raise BadParam(f"grid_step must lie in (0, 0.5], got {grid_step!r}")
-    count = int(math.floor(1.0 / grid_step + 1e-9))
-    values = [grid_step * (i + 1) for i in range(count)]
+    values = _step_grid("grid_step", grid_step)
     found = []
     for e1 in values:
         for e2 in values:
-            pair = FilterPair(min(e1, 1.0), min(e2, 1.0))
+            pair = FilterPair(e1, e2)
             try:
                 if modified_protocol_useful(rho, pair):
                     found.append(pair)
@@ -137,8 +141,8 @@ def useful_q_start(alpha: float, filter_pair: FilterPair, q_step: float,
 
     Scans the q grid (q_step, 2 q_step, ..., 1) from the top down to find
     the contiguous useful tail, then bisects the boundary to ``tol``.
-    Returns None when even q = 1 is not useful.  Annihilating filters
-    count as not useful.
+    ``q_step`` must lie in (0, 0.5].  Returns None when even q = 1 is not
+    useful.  Annihilating filters count as not useful.
     """
     def useful(q: float) -> bool:
         try:
@@ -147,8 +151,7 @@ def useful_q_start(alpha: float, filter_pair: FilterPair, q_step: float,
         except FilterAnnihilates:
             return False
 
-    count = int(math.floor(1.0 / q_step + 1e-9))
-    grid = [min((i + 1) * q_step, 1.0) for i in range(count)]
+    grid = _step_grid("q_step", q_step)
     if grid[-1] < 1.0 - 1e-12:
         grid.append(1.0)
     if not useful(grid[-1]):

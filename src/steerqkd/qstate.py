@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDirection, InvalidState, NotAState
+from .errors import InvalidDirection, InvalidState, NotAState, ValidationError
 
 # Absolute tolerance for matrix equality comparisons.
 DEFAULT_TOL = 1e-10
@@ -50,6 +50,12 @@ IDENTITY_2 = np.eye(2, dtype=complex)
 #: Pauli operators stacked in (X, Y, Z) order, shape (3, 2, 2).
 PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
 
+# The Bloch basis: _PAULI_PRODUCTS[m, n] = s_m x s_n with s = (I, X, Y, Z),
+# shape (4, 4, 4, 4).  Read-only; both directions of the Bloch map use it.
+_PAULI_PRODUCTS = np.array([[np.kron(sm, sn) for sn in (IDENTITY_2, *PAULIS)]
+                            for sm in (IDENTITY_2, *PAULIS)])
+_PAULI_PRODUCTS.setflags(write=False)
+
 
 def matrices_close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
     """Entrywise equality of two complex matrices within absolute ``tol``."""
@@ -58,6 +64,13 @@ def matrices_close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bo
     if a.shape != b.shape:
         return False
     return bool(np.max(np.abs(a - b)) <= tol) if a.size else True
+
+
+def _as_real(value, error: type[ValidationError], name: str) -> float:
+    """``float(value)``, refusing bool and numpy.bool_, which float() maps to 0/1."""
+    if isinstance(value, (bool, np.bool_)):
+        raise error(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
@@ -261,16 +274,9 @@ def bloch_decompose(rho: DensityMatrix) -> BlochForm:
         and ``w[i, j] = Tr[rho sigma_i x sigma_j]``.  All traces are real for
         a Hermitian input; the imaginary residue is discarded.
     """
-    mat = rho.matrix
-    a = np.empty(3)
-    b = np.empty(3)
-    w = np.empty((3, 3))
-    for i in range(3):
-        a[i] = np.trace(mat @ np.kron(PAULIS[i], IDENTITY_2)).real
-        b[i] = np.trace(mat @ np.kron(IDENTITY_2, PAULIS[i])).real
-        for j in range(3):
-            w[i, j] = np.trace(mat @ np.kron(PAULIS[i], PAULIS[j])).real
-    return BlochForm(a, b, w)
+    # matmul + trace reproduces the per-product traces bit for bit; einsum does not.
+    t = np.trace(rho.matrix @ _PAULI_PRODUCTS, axis1=2, axis2=3).real
+    return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])
 
 
 def reconstruct_state(bf: BlochForm) -> DensityMatrix:
@@ -282,13 +288,8 @@ def reconstruct_state(bf: BlochForm) -> DensityMatrix:
         If the decomposition does not correspond to a positive unit-trace
         matrix, i.e. the ``BlochForm`` is unphysical.
     """
-    mat = np.eye(4, dtype=complex)
-    for i in range(3):
-        mat += bf.a_vec[i] * np.kron(PAULIS[i], IDENTITY_2)
-        mat += bf.b_vec[i] * np.kron(IDENTITY_2, PAULIS[i])
-        for j in range(3):
-            mat += bf.w[i, j] * np.kron(PAULIS[i], PAULIS[j])
-    mat /= 4.0
+    t = np.block([[1.0, bf.b_vec], [bf.a_vec[:, None], bf.w]])
+    mat = np.tensordot(t, _PAULI_PRODUCTS, axes=2) / 4.0
     try:
         return DensityMatrix(mat)
     except InvalidState as exc:
@@ -330,12 +331,8 @@ def joint_outcome_distribution(bf: BlochForm, alice_dir, bob_dir) -> np.ndarray:
     ua = float(u @ bf.a_vec)
     vb = float(v @ bf.b_vec)
     uwv = float(u @ bf.w @ v)
-    p = np.empty((2, 2))
-    for a in (0, 1):
-        for b in (0, 1):
-            sa = 1.0 if a == 0 else -1.0
-            sb = 1.0 if b == 0 else -1.0
-            p[a, b] = 0.25 * (1.0 + sa * ua + sb * vb + sa * sb * uwv)
+    s = np.array([1.0, -1.0])        # (-1)^bit
+    p = 0.25 * (1.0 + s[:, None] * ua + s[None, :] * vb + np.outer(s, s) * uwv)
     if p.min() < -1e-12:
         raise InvalidState(f"negative outcome probability {p.min():.3e}")
     total = p.sum()

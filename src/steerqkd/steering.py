@@ -18,6 +18,7 @@ from .qstate import (
     SQRT3,
     MeasurementTriad,
     TensorSpectrum,
+    _as_real,
     bloch_decompose,
 )
 
@@ -63,7 +64,7 @@ def is_chsh_violating(spec: TensorSpectrum) -> bool:
 
 
 def _validated_weights(w) -> tuple[float, float, float, float]:
-    ws = tuple(float(x) for x in w)
+    ws = tuple(_as_real(x, BadWeights, "weights") for x in w)
     if len(ws) != 4:
         raise BadWeights(f"expected four weights, got {len(ws)}")
     if any(not math.isfinite(x) for x in ws):

@@ -148,6 +148,16 @@ class TestScan:
             assert min(w) >= -1e-9
             assert sum(w) == pytest.approx(1.0, abs=1e-9)
 
+    def test_bell_diagonal_skip_matches_weight_tolerance(self, tmp_path):
+        # w4 = -5e-10 lies outside the simplex tolerance: skipped, not an error
+        out = tmp_path / "scan.csv"
+        assert main(["scan", "--family", "bell_diagonal",
+                     "--range", "w1=0.5000000005:0.5000000005:0.1",
+                     "--range", "w2=0.5:0.5:0.1", "--range", "w3=0:0:0.1",
+                     "--out", str(out)]) == 0
+        assert out.read_text().count("\n") == 1
+        assert out.read_text().startswith("w1,w2,w3,w4,")
+
     def test_rejects_unknown_key(self):
         from steerqkd.errors import BadRange
         with pytest.raises(BadRange):
@@ -249,6 +259,11 @@ class TestTableOne:
                                                                alpha=0.24)), f)
         assert not modified_protocol_useful(make_gamma(GammaParams(
             q=max(start - 1e-3, 1e-6), alpha=0.24)), f)
+
+    def test_rejects_bad_qstep(self, capsys):
+        assert main(["table1", "--eps1", "0.3", "--eps2", "0.3",
+                     "--alphas", "0.25", "--qstep", "0"]) == 2
+        assert "q_step must lie in (0, 0.5], got 0.0" in capsys.readouterr().err
 
     def test_never_useful_alpha_gives_nan_row(self):
         # alpha=0 keeps the state separable whatever the filters do

@@ -25,6 +25,7 @@ from steerqkd.families import (
     gamma_predicates,
     werner_correlation_diag,
 )
+from steerqkd.filtering import FilterPair
 
 SQRT3 = math.sqrt(3.0)
 
@@ -69,6 +70,19 @@ class TestParamValidation:
             GammaParams(q=0.5, alpha=-0.1)
         with pytest.raises(BadParam):
             GammaParams(q=0.5, alpha=1.0)
+
+    @pytest.mark.parametrize("cls, args, error", [
+        pytest.param(FilterPair, (0.5,), BadParam, id="FilterPair"),
+        pytest.param(WernerParams, (), BadParam, id="WernerParams"),
+        pytest.param(GammaParams, (0.3,), BadParam, id="GammaParams"),
+        pytest.param(BellDiagonalParams, (0.0, 0.0, 0.0), BadWeights,
+                     id="BellDiagonalParams"),
+    ])
+    @pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy_bool"])
+    def test_rejects_booleans(self, cls, args, error, flag):
+        # float(True) is 1.0, a valid value for every field here
+        with pytest.raises(error, match="must be a number"):
+            cls(flag, *args)
 
     def test_werner_embedding(self):
         p = WernerParams(0.6).as_bell_diagonal() if hasattr(WernerParams(0.6), "as_bell_diagonal") else None

@@ -19,7 +19,7 @@ from steerqkd import (
     tensor_spectrum,
 )
 from steerqkd.families import GammaParams
-from steerqkd.filtering import filter_branch_probabilities
+from steerqkd.filtering import filter_branch_probabilities, useful_q_start
 
 
 def gamma_filter_transfer(q, alpha, eps1, eps2):
@@ -170,6 +170,14 @@ class TestFilterSearch:
             filter_search(rho, 0.0)
         with pytest.raises(BadParam):
             filter_search(rho, 0.7)
+
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 0.6])
+    def test_grid_steps_share_one_check(self, step):
+        rho = make_gamma(GammaParams(q=0.6, alpha=0.7))
+        with pytest.raises(BadParam, match="grid_step"):
+            filter_search(rho, step)
+        with pytest.raises(BadParam, match="q_step"):
+            useful_q_start(0.3, FilterPair(0.5, 0.5), step)
 
     def test_finds_filters_for_unsteerable_gamma_state(self):
         rho = make_gamma(GammaParams(q=0.6, alpha=0.7))

@@ -17,13 +17,31 @@ from steerqkd import (
     TensorSpectrum,
     bloch_decompose,
     joint_outcome_distribution,
+    make_bell_diagonal,
+    make_gamma,
     matrices_close,
     reconstruct_state,
     tensor_spectrum,
 )
+from steerqkd.families import BellDiagonalParams, GammaParams
 from steerqkd.qstate import PAULIS
 
 PSI_MINUS = np.array([0.0, 1.0, -1.0, 0.0]) / np.sqrt(2.0)
+
+
+def special_states(rng):
+    """Pure, rank-deficient, maximally mixed and family states."""
+    ka = rng.normal(size=2) + 1j * rng.normal(size=2)
+    kb = rng.normal(size=2) + 1j * rng.normal(size=2)
+    u = random_unitary(rng, dim=4)
+    return [
+        DensityMatrix.from_ket(np.kron(ka, kb)),            # pure product
+        random_pure_state(rng),                             # pure entangled
+        DensityMatrix(u @ np.diag([0.6, 0.4, 0.0, 0.0]) @ u.conj().T),  # rank 2
+        DensityMatrix(np.eye(4, dtype=complex) / 4),
+        make_gamma(GammaParams(q=0.7, alpha=0.5)),
+        make_bell_diagonal(BellDiagonalParams(0.6, 0.2, 0.1, 0.1)),
+    ]
 
 
 class TestDensityMatrix:
@@ -99,25 +117,26 @@ class TestBlochForm:
 class TestDecomposition:
     def test_roundtrip_on_random_states(self):
         rng = np.random.default_rng(21)
-        for _ in range(300):
-            rho = random_density_matrix(rng)
+        states = [random_density_matrix(rng) for _ in range(300)]
+        for rho in states + special_states(rng):
             again = reconstruct_state(bloch_decompose(rho))
             assert rho.isclose(again, tol=1e-10)
 
     def test_components_are_pauli_expectations(self):
         # independent route: a_i = tr(rho (s_i x I)) etc.
         rng = np.random.default_rng(22)
-        rho = random_density_matrix(rng)
-        bf = bloch_decompose(rho)
+        states = [random_density_matrix(rng) for _ in range(5)]
         eye = np.eye(2)
-        for i in range(3):
-            a_i = np.trace(rho.matrix @ np.kron(PAULIS[i], eye)).real
-            b_i = np.trace(rho.matrix @ np.kron(eye, PAULIS[i])).real
-            assert bf.a_vec[i] == pytest.approx(a_i, abs=1e-12)
-            assert bf.b_vec[i] == pytest.approx(b_i, abs=1e-12)
-            for j in range(3):
-                w_ij = np.trace(rho.matrix @ np.kron(PAULIS[i], PAULIS[j])).real
-                assert bf.w[i, j] == pytest.approx(w_ij, abs=1e-12)
+        for rho in states + special_states(rng):
+            bf = bloch_decompose(rho)
+            for i in range(3):
+                a_i = np.trace(rho.matrix @ np.kron(PAULIS[i], eye)).real
+                b_i = np.trace(rho.matrix @ np.kron(eye, PAULIS[i])).real
+                assert bf.a_vec[i] == pytest.approx(a_i, abs=1e-12)
+                assert bf.b_vec[i] == pytest.approx(b_i, abs=1e-12)
+                for j in range(3):
+                    w_ij = np.trace(rho.matrix @ np.kron(PAULIS[i], PAULIS[j])).real
+                    assert bf.w[i, j] == pytest.approx(w_ij, abs=1e-12)
 
     def test_maximally_mixed(self):
         bf = bloch_decompose(DensityMatrix(np.eye(4, dtype=complex) / 4))
