@@ -33,15 +33,7 @@ import numpy as np
 
 from . import steering
 from .errors import BadRange, NumericalError, ParseError, ValidationError
-from .families import (
-    BellDiagonalParams,
-    GammaParams,
-    WernerParams,
-    gamma_predicates,
-    make_bell_diagonal,
-    make_gamma,
-    make_werner,
-)
+from .families import _FAMILY_MAKERS, GammaParams, gamma_predicates, scan_rows
 from .filtering import FilterPair, useful_q_start
 from .protocol import ProtocolConfig, run_protocol
 from .qber import (
@@ -51,14 +43,6 @@ from .qber import (
     qber_min_two_settings,
 )
 from .qstate import DensityMatrix, bloch_decompose, tensor_spectrum
-
-# One row per family: params class, maker, and state-file parameter names.
-_FAMILY_MAKERS = {
-    "werner": (WernerParams, make_werner, tuple(WernerParams.DOMAIN)),
-    "gamma": (GammaParams, make_gamma, tuple(GammaParams.DOMAIN)),
-    "bell_diagonal": (BellDiagonalParams, make_bell_diagonal,
-                      tuple(BellDiagonalParams.DOMAIN)),
-}
 
 
 def _fmt(x: float) -> str:
@@ -222,71 +206,9 @@ def _parse_range(text: str) -> tuple[str, float, float, float]:
     return key, lo, hi, step
 
 
-def _grid(lo: float, hi: float, step: float) -> list[float]:
-    # Inclusive of hi within a small tolerance so lo:hi:step hits hi exactly.
-    count = int(math.floor((hi - lo) / step + 1e-9))
-    return [min(lo + i * step, hi) for i in range(count + 1)]
-
-
 def scan_result(family: str, range_args: list[str]) -> ScanResult:
-    """Evaluate the generic pipeline on a declared parameter grid.
-
-    Rows follow nested-loop order, outermost range first as declared on
-    the command line.  For bell_diagonal scans the fourth weight is
-    derived (w4 = 1 - w1 - w2 - w3) and grid points leaving the simplex
-    are skipped.
-    """
-    if family not in _FAMILY_MAKERS:
-        raise BadRange(
-            f"unknown family {family!r}; expected one of {sorted(_FAMILY_MAKERS)}")
-    params_cls, maker, fields = _FAMILY_MAKERS[family]
-    bell = family == "bell_diagonal"
-    scanned = fields[:-1] if bell else fields
-    parsed = [_parse_range(r) for r in range_args]
-    seen = [k for k, *_ in parsed]
-    if sorted(seen) != sorted(scanned):
-        raise BadRange(
-            f"family {family!r} needs exactly one range per parameter "
-            f"{sorted(scanned)}, got {seen}")
-    for key, lo, hi, _ in parsed:
-        dom_lo, dom_hi = params_cls.DOMAIN[key]
-        if lo < dom_lo or hi > dom_hi:
-            raise BadRange(
-                f"range for {key!r} must stay within [{dom_lo:g}, {dom_hi:g}]")
-
-    param_names = [k for k, *_ in parsed]
-    grids = [_grid(lo, hi, step) for _, lo, hi, step in parsed]
-    if bell:
-        header = (*param_names, "w4", "f3_bound", "chsh_bound", "q_min",
-                  "steerable", "useful", "chsh_violating", "absolutely_local")
-    else:
-        header = (*param_names, "f3_bound", "chsh_bound", "q_min",
-                  "steerable", "useful", "chsh_violating")
-
-    rows = []
-    stack = [()]
-    for grid in grids:
-        stack = [prefix + (v,) for prefix in stack for v in grid]
-    for point in stack:
-        kwargs = dict(zip(param_names, point))
-        extra_cols: tuple[float, ...] = ()
-        if bell:
-            w4 = 1.0 - sum(kwargs.values())
-            if w4 < -steering.WEIGHT_TOL:
-                continue
-            w4 = max(w4, 0.0)
-            kwargs["w4"] = w4
-            extra_cols = (w4,)
-        params = params_cls(**kwargs)
-        spec = tensor_spectrum(bloch_decompose(maker(params)))
-        sv = steering.verdict(spec)
-        uv = classify_usefulness(spec)
-        row = (*point, *extra_cols, sv.f3_bound, sv.chsh_bound, uv.q_min,
-               float(sv.steerable), float(uv.useful), float(sv.chsh_violating))
-        if bell:
-            row = row + (float(steering.belldiag_absolutely_chsh_local(params.weights)),)
-        rows.append(row)
-    return ScanResult(header=header, rows=tuple(rows))
+    """Parse ``k=lo:hi:step`` range arguments and evaluate the scan grid."""
+    return ScanResult(*scan_rows(family, [_parse_range(r) for r in range_args]))
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
@@ -352,7 +274,6 @@ def table1_result(eps1: float, eps2: float, alphas: list[float],
     filter_pair = FilterPair(eps1, eps2)
     rows = []
     for alpha in alphas:
-        alpha = GammaParams(q=1.0, alpha=alpha).alpha  # validates the range
         q_start = useful_q_start(alpha, filter_pair, q_step)
         if q_start is None:
             rows.append((alpha, math.nan, math.nan, math.nan))

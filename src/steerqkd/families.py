@@ -15,6 +15,7 @@ generic Bloch pipeline in the test suite.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -22,8 +23,9 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import steering
-from .errors import BadParam
-from .qstate import SQRT3, DensityMatrix, _as_real
+from .errors import BadParam, BadRange
+from .qber import classify_usefulness
+from .qstate import SQRT3, DensityMatrix, _as_real, bloch_decompose, tensor_spectrum
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -197,3 +199,69 @@ def belldiag_predicates(p: BellDiagonalParams) -> FamilyPredicates:
              + abs(1.0 - 2.0 * (w1 + w3))
              + abs(1.0 - 2.0 * (w2 + w3)))
     return FamilyPredicates(steer, total > SQRT3)
+
+
+# One row per family: params class, maker, and state-file parameter names.
+_FAMILY_MAKERS = {
+    "werner": (WernerParams, make_werner, tuple(WernerParams.DOMAIN)),
+    "gamma": (GammaParams, make_gamma, tuple(GammaParams.DOMAIN)),
+    "bell_diagonal": (BellDiagonalParams, make_bell_diagonal,
+                      tuple(BellDiagonalParams.DOMAIN)),
+}
+
+
+def _grid(lo: float, hi: float, step: float) -> list[float]:
+    """lo, lo + step, ... up to hi; a 1e-9 slack lets lo:hi:step reach hi."""
+    count = int(math.floor((hi - lo) / step + 1e-9))
+    return [min(lo + i * step, hi) for i in range(count + 1)]
+
+
+def scan_rows(family: str, ranges: list[tuple[str, float, float, float]]
+              ) -> tuple[tuple[str, ...], tuple[tuple[float, ...], ...]]:
+    """Evaluate the generic pipeline on a grid of ``(name, lo, hi, step)`` ranges.
+
+    Returns the column names and one row per grid point.  Rows follow
+    nested-loop order, outermost range first as given.  For bell_diagonal
+    scans the fourth weight is derived (w4 = 1 - w1 - w2 - w3) and grid
+    points leaving the simplex are skipped.
+    """
+    if family not in _FAMILY_MAKERS:
+        raise BadRange(
+            f"unknown family {family!r}; expected one of {sorted(_FAMILY_MAKERS)}")
+    params_cls, maker, fields = _FAMILY_MAKERS[family]
+    bell = family == "bell_diagonal"
+    scanned = fields[:-1] if bell else fields
+    param_names = [k for k, *_ in ranges]
+    if sorted(param_names) != sorted(scanned):
+        raise BadRange(
+            f"family {family!r} needs exactly one range per parameter "
+            f"{sorted(scanned)}, got {param_names}")
+    for key, lo, hi, _ in ranges:
+        dom_lo, dom_hi = params_cls.DOMAIN[key]
+        if lo < dom_lo or hi > dom_hi:
+            raise BadRange(
+                f"range for {key!r} must stay within [{dom_lo:g}, {dom_hi:g}]")
+
+    cols = ("f3_bound", "chsh_bound", "q_min", "steerable", "useful", "chsh_violating")
+    header = ((*param_names, "w4", *cols, "absolutely_local") if bell
+              else (*param_names, *cols))
+
+    rows = []
+    for point in itertools.product(*(_grid(lo, hi, step) for _, lo, hi, step in ranges)):
+        kwargs = dict(zip(param_names, point))
+        if bell:
+            w4 = 1.0 - sum(point)
+            if w4 < -steering.WEIGHT_TOL:
+                continue
+            kwargs["w4"] = max(w4, 0.0)
+        params = params_cls(**kwargs)
+        spec = tensor_spectrum(bloch_decompose(maker(params)))
+        sv = steering.verdict(spec)
+        uv = classify_usefulness(spec)
+        head = (*point, params.w4) if bell else point
+        row = (*head, sv.f3_bound, sv.chsh_bound, uv.q_min,
+               float(sv.steerable), float(uv.useful), float(sv.chsh_violating))
+        if bell:
+            row += (float(steering.belldiag_absolutely_chsh_local(params.weights)),)
+        rows.append(row)
+    return header, tuple(rows)

@@ -21,9 +21,9 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import BadParam, FilterAnnihilates
-from .families import GammaParams, _check_domain, make_gamma
+from .families import GammaParams, _check_domain, _grid, make_gamma
 from .qber import critical_qber, qber_min
-from .qstate import DensityMatrix, bloch_decompose, tensor_spectrum
+from .qstate import DensityMatrix, _as_real, bloch_decompose, tensor_spectrum
 
 #: Success probabilities below this cannot be renormalised meaningfully.
 ANNIHILATION_THRESHOLD = 1e-12
@@ -106,12 +106,11 @@ def modified_protocol_useful(rho: DensityMatrix, f: FilterPair) -> bool:
 
 
 def _step_grid(name: str, step) -> list[float]:
-    """The grid (step, 2 step, ..., <= 1); ``step`` must be finite, in (0, 0.5]."""
-    step = float(step)
+    """The grid (0, step, 2 step, ..., <= 1); ``step`` must be finite, in (0, 0.5]."""
+    step = _as_real(step, BadParam, name)
     if not math.isfinite(step) or step <= 0.0 or step > 0.5:
         raise BadParam(f"{name} must lie in (0, 0.5], got {step!r}")
-    count = int(math.floor(1.0 / step + 1e-9))
-    return [min((i + 1) * step, 1.0) for i in range(count)]
+    return _grid(0.0, 1.0, step)
 
 
 def filter_search(rho: DensityMatrix, grid_step: float) -> list[FilterPair]:
@@ -122,7 +121,7 @@ def filter_search(rho: DensityMatrix, grid_step: float) -> list[FilterPair]:
     points whose filters annihilate the state are skipped.  An empty list
     is a valid result.
     """
-    values = _step_grid("grid_step", grid_step)
+    values = _step_grid("grid_step", grid_step)[1:]
     found = []
     for e1 in values:
         for e2 in values:
@@ -139,10 +138,11 @@ def useful_q_start(alpha: float, filter_pair: FilterPair, q_step: float,
                    tol: float = 1e-3) -> float | None:
     """Infimum q above which the filtered gamma state stays useful.
 
-    Scans the q grid (q_step, 2 q_step, ..., 1) from the top down to find
-    the contiguous useful tail, then bisects the boundary to ``tol``.
-    ``q_step`` must lie in (0, 0.5].  Returns None when even q = 1 is not
-    useful.  Annihilating filters count as not useful.
+    Walks the q grid (0, q_step, 2 q_step, ..., 1) from the top down to
+    find the contiguous useful tail, then bisects the boundary to ``tol``.
+    ``q_step`` must lie in (0, 0.5] and ``tol`` in [1e-12, 0.5].  Returns
+    None when even q = 1 is not useful.  Annihilating filters count as not
+    useful.
     """
     def useful(q: float) -> bool:
         try:
@@ -152,6 +152,9 @@ def useful_q_start(alpha: float, filter_pair: FilterPair, q_step: float,
             return False
 
     grid = _step_grid("q_step", q_step)
+    tol = _as_real(tol, BadParam, "tol")
+    if not 1e-12 <= tol <= 0.5:
+        raise BadParam(f"tol must lie in [1e-12, 0.5], got {tol!r}")
     if grid[-1] < 1.0 - 1e-12:
         grid.append(1.0)
     if not useful(grid[-1]):
@@ -159,13 +162,9 @@ def useful_q_start(alpha: float, filter_pair: FilterPair, q_step: float,
     start_idx = len(grid) - 1
     while start_idx > 0 and useful(grid[start_idx - 1]):
         start_idx -= 1
-    q_true = grid[start_idx]
-    if start_idx > 0:
-        q_false = grid[start_idx - 1]
-    else:
-        if useful(0.0):
-            return 0.0
-        q_false = 0.0
+    if start_idx == 0:
+        return 0.0
+    q_true, q_false = grid[start_idx], grid[start_idx - 1]
     while q_true - q_false > tol:
         mid = 0.5 * (q_true + q_false)
         if useful(mid):

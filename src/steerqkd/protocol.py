@@ -41,6 +41,7 @@ from .qstate import (
     BlochForm,
     DensityMatrix,
     MeasurementTriad,
+    _as_real,
     bloch_decompose,
     joint_outcome_distribution,
     tensor_spectrum,
@@ -82,7 +83,7 @@ class ProtocolConfig:
             raise BadParam(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "rounds", rounds)
         object.__setattr__(self, "seed", seed)
-        tf = float(self.test_fraction)
+        tf = _as_real(self.test_fraction, BadParam, "test_fraction")
         if not math.isfinite(tf) or not 0.0 < tf < 1.0:
             raise BadParam(f"test_fraction must lie in (0, 1), got {tf!r}")
         object.__setattr__(self, "test_fraction", tf)

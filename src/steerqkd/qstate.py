@@ -67,8 +67,9 @@ def matrices_close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bo
 
 
 def _as_real(value, error: type[ValidationError], name: str) -> float:
-    """``float(value)``, refusing bool and numpy.bool_, which float() maps to 0/1."""
-    if isinstance(value, (bool, np.bool_)):
+    """``float(value)``, refusing bool/numpy.bool_ (float() maps them to 0/1)
+    and str/bytes (float() parses them)."""
+    if isinstance(value, (bool, np.bool_, str, bytes)):
         raise error(f"{name} must be a number, got {value!r}")
     return float(value)
 

@@ -78,9 +78,10 @@ class TestParamValidation:
         pytest.param(BellDiagonalParams, (0.0, 0.0, 0.0), BadWeights,
                      id="BellDiagonalParams"),
     ])
-    @pytest.mark.parametrize("flag", [True, np.bool_(True)], ids=["bool", "numpy_bool"])
+    @pytest.mark.parametrize("flag", [True, np.bool_(True), "0.5"],
+                             ids=["bool", "numpy_bool", "str"])
     def test_rejects_booleans(self, cls, args, error, flag):
-        # float(True) is 1.0, a valid value for every field here
+        # float() maps True to 1.0 and parses "0.5", both valid for every field here
         with pytest.raises(error, match="must be a number"):
             cls(flag, *args)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import random_density_matrix
+from steerqkd import filtering
 from steerqkd import (
     BadParam,
     DensityMatrix,
@@ -171,7 +172,7 @@ class TestFilterSearch:
         with pytest.raises(BadParam):
             filter_search(rho, 0.7)
 
-    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 0.6])
+    @pytest.mark.parametrize("step", [0.0, -0.1, math.nan, math.inf, 0.6, "0.5"])
     def test_grid_steps_share_one_check(self, step):
         rho = make_gamma(GammaParams(q=0.6, alpha=0.7))
         with pytest.raises(BadParam, match="grid_step"):
@@ -204,6 +205,43 @@ class TestFilterSearch:
         hits = filter_search(rho, 0.25)
         keys = [(f.eps1, f.eps2) for f in hits]
         assert keys == sorted(keys)
+
+
+class TestUsefulQStart:
+    @pytest.mark.parametrize("tol", [0.0, -1.0, 1e-300, math.nan, math.inf, "0.1"])
+    def test_rejects_bad_tol(self, tol):
+        # 0, -1 and 1e-300 never close the bisection; NaN and inf skip it
+        with pytest.raises(BadParam, match="tol"):
+            useful_q_start(0.3, FilterPair(0.5, 0.5), 0.1, tol=tol)
+
+    @pytest.mark.parametrize("alpha, f, q_step, onset, qs", [
+        # onset inside the grid: walk down to 0.6, bisect (0.6, 0.7)
+        pytest.param(0.3, FilterPair(0.5, 0.5), 0.1, 0.6328125000000001,
+                     [min(i * 0.1, 1.0) for i in range(10, 5, -1)]
+                     + [0.6500000000000001, 0.6250000000000001, 0.6375000000000002,
+                        0.6312500000000001, 0.6343750000000001, 0.6328125000000001,
+                        0.63203125],
+                     id="inside_grid"),
+        # onset below the first grid point: walk down to 0.02, probe 0, bisect
+        pytest.param(0.24, FilterPair(0.15, 0.02563), 0.02, 0.018750000000000003,
+                     [min(i * 0.02, 1.0) for i in range(50, 0, -1)]
+                     + [0.0, 0.01, 0.015, 0.0175, 0.018750000000000003,
+                        0.018125000000000002],
+                     id="below_first_step"),
+    ])
+    def test_probe_sequence(self, monkeypatch, alpha, f, q_step, onset, qs):
+        seen = []
+        real = filtering.modified_protocol_useful
+
+        def recording(rho, pair):
+            seen.append(rho.matrix)
+            return real(rho, pair)
+
+        monkeypatch.setattr(filtering, "modified_protocol_useful", recording)
+        assert useful_q_start(alpha, f, q_step) == onset
+        assert len(seen) == len(qs)
+        for got, q in zip(seen, qs):
+            assert np.array_equal(got, make_gamma(GammaParams(q=q, alpha=alpha)).matrix)
 
 
 class TestSeparabilityPreservation:

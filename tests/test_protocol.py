@@ -45,7 +45,7 @@ class TestConfigValidation:
                            bob_triad=MeasurementTriad.axes())
 
     def test_rejects_bad_test_fraction(self):
-        for bad in (0.0, 1.0, -0.2):
+        for bad in (0.0, 1.0, -0.2, "0.5"):
             with pytest.raises(BadParam):
                 werner_config(100, 1, test_fraction=bad)
 
