@@ -35,7 +35,7 @@ from . import steering
 from .errors import BadRange, NumericalError, ParseError, ValidationError
 from .families import _FAMILY_MAKERS, GammaParams, gamma_predicates, scan_rows
 from .filtering import FilterPair, useful_q_start
-from .protocol import ProtocolConfig, run_protocol
+from .protocol import ProtocolConfig, _measured_state, run_protocol
 from .qber import (
     classify_usefulness,
     min_secure_key_rate,
@@ -231,7 +231,8 @@ def _parse_filter(text: str) -> FilterPair:
 def cmd_simulate(args: argparse.Namespace) -> int:
     rho, echo = load_state_file(args.state_file)
     filter_pair = _parse_filter(args.filter) if args.filter else None
-    alice, bob = optimal_triads(bloch_decompose(rho))
+    measured, _ = _measured_state(rho, filter_pair)
+    alice, bob = optimal_triads(bloch_decompose(measured))
     cfg = ProtocolConfig(
         rounds=args.rounds,
         seed=args.seed,

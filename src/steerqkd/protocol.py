@@ -20,7 +20,10 @@ generator), consumed in this fixed order:
 
 Outcomes are sampled by inverse CDF over the four Born probabilities in
 lexicographic (a, b) order: (0,0), (0,1), (1,0), (1,1).  Identical inputs
-therefore reproduce bit-identical reports.
+therefore reproduce bit-identical reports.  Outcome uniforms are drawn for
+every round, but :func:`run_protocol` looks up outcome bits only for the
+sifted rounds, the only ones any statistic reads; :func:`round_records`
+looks them up for every round from the same stream.
 """
 
 from __future__ import annotations
@@ -131,35 +134,37 @@ class SimulationReport:
 
 def _outcome_cdfs(bf: BlochForm, cfg: ProtocolConfig) -> np.ndarray:
     """Cumulative Born probabilities for each (alice basis, bob basis) pair."""
-    cdf = np.empty((3, 3, 4))
-    for i, u in enumerate(cfg.alice_triad.dirs):
-        for j, v in enumerate(cfg.bob_triad.dirs):
-            cdf[i, j] = np.cumsum(joint_outcome_distribution(bf, u, v).ravel())
-    return cdf
+    return np.array([[np.cumsum(joint_outcome_distribution(bf, u, v))
+                      for v in cfg.bob_triad.dirs] for u in cfg.alice_triad.dirs])
+
+
+def _measured_state(rho: DensityMatrix, pair: FilterPair | None):
+    """The state the rounds measure, ``rho`` after the filters ``pair`` when
+    given, and its heralding rate (None without filtering)."""
+    if pair is None:
+        return rho, None
+    outcome = apply_local_filters(rho, pair)
+    return outcome.filtered_state, outcome.p_succ
 
 
 def _draw_rounds(rho: DensityMatrix, cfg: ProtocolConfig):
-    """Vectorised draw of all per-round arrays in the documented RNG order."""
-    if cfg.filter is not None:
-        outcome = apply_local_filters(rho, cfg.filter)
-        measured, p_succ = outcome.filtered_state, outcome.p_succ
-    else:
-        measured, p_succ = rho, None
+    """Basis indices, heralding mask and outcome uniforms in the documented
+    RNG order, plus the outcome CDF table and the analytic heralding rate."""
+    measured, p_succ = _measured_state(rho, cfg.filter)
     cdf = _outcome_cdfs(bloch_decompose(measured), cfg)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.rounds
     a_idx = rng.integers(0, 3, size=n)
     b_idx = rng.integers(0, 3, size=n)
-    if p_succ is None:
-        kept = np.ones(n, dtype=bool)
-    else:
-        kept = rng.random(n) < p_succ
+    kept = np.ones(n, dtype=bool) if p_succ is None else rng.random(n) < p_succ
     u = rng.random(n)
-    thresholds = cdf[a_idx, b_idx]
-    k = (u[:, None] >= thresholds[:, :3]).sum(axis=1)
-    a_out = (k >> 1).astype(np.uint8)
-    b_out = (k & 1).astype(np.uint8)
-    return a_idx, b_idx, kept, a_out, b_out, p_succ
+    return a_idx, b_idx, kept, u, cdf, p_succ
+
+
+def _outcomes(cdf, a_idx, b_idx, u) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF outcome bits (alice, bob) for rounds with uniforms ``u``."""
+    k = (u[:, None] >= cdf[a_idx, b_idx, :3]).sum(axis=1)
+    return (k >> 1).astype(np.uint8), (k & 1).astype(np.uint8)
 
 
 def round_records(rho: DensityMatrix, cfg: ProtocolConfig) -> list[RoundRecord]:
@@ -168,7 +173,8 @@ def round_records(rho: DensityMatrix, cfg: ProtocolConfig) -> list[RoundRecord]:
     Uses the same RNG stream as :func:`run_protocol`, so the records are
     exactly the rounds that run aggregates.  Intended for small ``rounds``.
     """
-    a_idx, b_idx, kept, a_out, b_out, _ = _draw_rounds(rho, cfg)
+    a_idx, b_idx, kept, u, cdf, _ = _draw_rounds(rho, cfg)
+    a_out, b_out = _outcomes(cdf, a_idx, b_idx, u)
     return [
         RoundRecord(
             alice_basis=int(a_idx[i]),
@@ -193,44 +199,30 @@ def run_protocol(rho: DensityMatrix, cfg: ProtocolConfig) -> SimulationReport:
     FilterAnnihilates
         Propagated from the filtering step in filtering mode.
     """
-    a_idx, b_idx, kept, a_out, b_out, p_succ = _draw_rounds(rho, cfg)
-    sift_mask = kept & (a_idx == b_idx)
-    sift_pos = np.flatnonzero(sift_mask)
-    if sift_pos.size == 0:
+    a_idx, b_idx, kept, u, cdf, p_succ = _draw_rounds(rho, cfg)
+    sift = np.flatnonzero(kept & (a_idx == b_idx))
+    if sift.size == 0:
         raise DegenerateConfig(
             f"{cfg.rounds} rounds produced no sifted rounds to disclose")
-    n_disc = math.ceil(cfg.test_fraction * sift_pos.size)
-    disclosed = sift_pos[:n_disc]
-    key_rounds = sift_pos[n_disc:]
-
+    basis = a_idx[sift]
+    a_out, b_out = _outcomes(cdf, basis, basis, u[sift])
     mismatch = a_out != b_out
-    empirical_qber = float(np.mean(mismatch[disclosed]))
-
-    correlators = []
-    for basis in range(3):
-        sel = sift_mask & (a_idx == basis)
-        count = int(sel.sum())
-        if count == 0:
-            correlators.append(0.0)
-            continue
-        agree = int((~mismatch[sel]).sum())
-        correlators.append((2 * agree - count) / count)
-
-    key_basis = a_idx[key_rounds]
-    key_count = tuple(int((key_basis == l).sum()) for l in range(3))
-    key_mismatch = tuple(
-        int(mismatch[key_rounds[key_basis == l]].sum()) for l in range(3))
-
+    n_disc = math.ceil(cfg.test_fraction * sift.size)
+    count = np.bincount(basis, minlength=3).tolist()
+    wrong = np.bincount(basis[mismatch], minlength=3).tolist()
+    correlators = tuple((c - 2 * w) / c if c else 0.0 for c, w in zip(count, wrong))
+    key_basis = basis[n_disc:]
     return SimulationReport(
-        sifted_count=int(sift_pos.size),
+        sifted_count=int(sift.size),
         disclosed_count=int(n_disc),
-        empirical_qber=empirical_qber,
+        empirical_qber=float(np.mean(mismatch[:n_disc])),
         empirical_cjwr=abs(sum(correlators)) / SQRT3,
-        correlators=tuple(correlators),
-        raw_key_alice=a_out[key_rounds],
-        raw_key_bob=b_out[key_rounds],
-        key_count_by_basis=key_count,
-        key_mismatch_by_basis=key_mismatch,
+        correlators=correlators,
+        raw_key_alice=a_out[n_disc:],
+        raw_key_bob=b_out[n_disc:],
+        key_count_by_basis=tuple(np.bincount(key_basis, minlength=3).tolist()),
+        key_mismatch_by_basis=tuple(
+            np.bincount(key_basis[mismatch[n_disc:]], minlength=3).tolist()),
         p_succ_empirical=None if p_succ is None else float(kept.mean()),
     )
 

@@ -36,6 +36,11 @@ STATE_TOL = 1e-10
 # matrix is rejected as non-positive.
 PSD_FLOOR = -1e-9
 
+# Pauli expectations, Bloch lengths and singular values of an admitted state
+# are at most Tr rho + 2|sum of its (at most three) negative eigenvalues|
+# <= 1 + BLOCH_TOL, and its outcome probabilities stay above -BLOCH_TOL.
+BLOCH_TOL = STATE_TOL + 6 * abs(PSD_FLOOR)
+
 # Measurement directions must be unit length / orthogonal within this.
 DIRECTION_TOL = 1e-9
 
@@ -136,9 +141,9 @@ class BlochForm:
     the 3x3 correlation tensor ``w``.
 
     Entries are correlators, so every component must lie in [-1, 1] and the
-    local vectors inside the unit ball (all within 1e-9).  A hand-built
-    ``BlochForm`` may still fail to describe a physical state; that is only
-    detected by :func:`reconstruct_state`.
+    local vectors inside the unit ball (all within ``BLOCH_TOL``).  A
+    hand-built ``BlochForm`` may still fail to describe a physical state;
+    that is only detected by :func:`reconstruct_state`.
     """
 
     a_vec: np.ndarray
@@ -149,7 +154,7 @@ class BlochForm:
         a = _frozen_array(self.a_vec, (3,))
         b = _frozen_array(self.b_vec, (3,))
         w = _frozen_array(self.w, (3, 3))
-        slack = 1.0 + 1e-9
+        slack = 1.0 + BLOCH_TOL
         if np.linalg.norm(a) > slack or np.linalg.norm(b) > slack:
             raise InvalidState("local Bloch vector lies outside the unit ball")
         if np.max(np.abs(w)) > slack:
@@ -179,7 +184,7 @@ class TensorSpectrum:
             raise InvalidState("spectrum must contain exactly three values")
         if not (s[0] >= s[1] >= s[2] >= 0):
             raise InvalidState("singular values must be descending and non-negative")
-        if s[0] > 1.0 + 1e-9:
+        if s[0] > 1.0 + BLOCH_TOL:
             raise InvalidState("singular value exceeds 1")
         if any(abs(abs(t[i]) - s[i]) > 1e-12 for i in range(3)):
             raise InvalidState("signed triple inconsistent with singular values")
@@ -324,8 +329,9 @@ def joint_outcome_distribution(bf: BlochForm, alice_dir, bob_dir) -> np.ndarray:
 
             p(a, b) = 1/4 [ 1 + (-1)^a u.a + (-1)^b v.b + (-1)^(a+b) u.W.v ].
 
-        Entries are clamped at zero (tolerance -1e-12) and renormalised so
-        the table sums to exactly 1.
+        Entries no lower than ``-BLOCH_TOL``, a floor every admitted state
+        clears, are clamped at zero and the table is renormalised so it
+        sums to exactly 1; a more negative entry raises ``InvalidState``.
     """
     u = _unit_direction(alice_dir, "alice_dir")
     v = _unit_direction(bob_dir, "bob_dir")
@@ -334,7 +340,7 @@ def joint_outcome_distribution(bf: BlochForm, alice_dir, bob_dir) -> np.ndarray:
     uwv = float(u @ bf.w @ v)
     s = np.array([1.0, -1.0])        # (-1)^bit
     p = 0.25 * (1.0 + s[:, None] * ua + s[None, :] * vb + np.outer(s, s) * uwv)
-    if p.min() < -1e-12:
+    if p.min() < -BLOCH_TOL:
         raise InvalidState(f"negative outcome probability {p.min():.3e}")
     total = p.sum()
     if abs(total - 1.0) > DEFAULT_TOL:

@@ -6,7 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from steerqkd import DensityMatrix, FilterPair, bloch_decompose, make_werner
+from steerqkd import (
+    DensityMatrix,
+    FilterPair,
+    MeasurementTriad,
+    bloch_decompose,
+    make_gamma,
+    make_werner,
+    qber_three_settings,
+)
 from steerqkd.cli import (
     ScanResult,
     load_state_file,
@@ -15,8 +23,8 @@ from steerqkd.cli import (
     table1_result,
 )
 from steerqkd.errors import BadRange, ParseError
-from steerqkd.families import WernerParams
-from steerqkd.filtering import useful_q_start
+from steerqkd.families import GammaParams, WernerParams
+from steerqkd.filtering import apply_local_filters, useful_q_start
 
 SQRT3 = math.sqrt(3.0)
 
@@ -115,6 +123,14 @@ class TestAnalyze:
         assert rep1["spectrum"] == rep2["spectrum"]
         assert rep1["steering"] == rep2["steering"]
         assert rep1["qber"] == rep2["qber"]
+
+    def test_admits_extreme_admitted_state(self, tmp_path, capsys):
+        # eigenvalue -1e-9 sits on the PSD gate; b_z and w_zz are 1 + 2e-9
+        mat = np.diag([1.0 + 1e-9, -1e-9, 0.0, 0.0])
+        path = write_state(tmp_path, "edge.json", matrix_payload(mat))
+        assert main(["analyze", path]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["spectrum"]["sigma"][0] == pytest.approx(1.0, abs=1e-8)
 
     def test_out_file(self, tmp_path):
         path = write_state(tmp_path, "w.json",
@@ -229,6 +245,37 @@ class TestSimulate:
         path = write_state(tmp_path, "z.json", matrix_payload(np.diag([1.0, 0, 0, 0])))
         assert main(["simulate", path, "--rounds", "100", "--seed", "1",
                      "--filter", "1e-7,1e-7"]) == 3
+
+    def test_filtered_triads_come_from_measured_state(self, tmp_path, capsys):
+        # gamma(0.3, 0.24) is useful only after filtering; the echoed triads
+        # must reach the filtered state's minimal QBER, not the raw state's.
+        rho = make_gamma(GammaParams(q=0.3, alpha=0.24))
+        f = FilterPair(0.15, 0.02563)
+        outcome = apply_local_filters(rho, f)
+        path = write_state(tmp_path, "g.json",
+                           {"family": "gamma", "params": {"q": 0.3, "alpha": 0.24}})
+        assert main(["simulate", path, "--rounds", "2000", "--seed", "3",
+                     "--filter", "0.15,0.02563"]) == 0
+        cfg = json.loads(capsys.readouterr().out)["config"]
+        q = qber_three_settings(bloch_decompose(outcome.filtered_state),
+                                MeasurementTriad(cfg["alice_triad"]),
+                                MeasurementTriad(cfg["bob_triad"]))
+        assert q == pytest.approx(outcome.q_min_filtered, abs=1e-8)
+
+    def test_pure_states_at_output_precision(self, tmp_path):
+        # Entries written at the CLI's own 10 significant digits leave
+        # eigenvalues a little below zero; analyze admits such states, so
+        # simulate must too.
+        ten_digits = np.vectorize(lambda x: float(format(x, ".10g")))
+        rng = np.random.default_rng(3)
+        for i in range(8):
+            ket = rng.normal(size=4) + 1j * rng.normal(size=4)
+            ket /= np.linalg.norm(ket)
+            mat = np.outer(ket, ket.conj())
+            mat = ten_digits(mat.real) + 1j * ten_digits(mat.imag)
+            path = write_state(tmp_path, f"pure{i}.json", matrix_payload(mat))
+            assert main(["analyze", path]) == 0
+            assert main(["simulate", path, "--rounds", "1000", "--seed", "1"]) == 0
 
     def test_in_process_determinism(self, tmp_path, capsys):
         path = write_state(tmp_path, "w.json",

@@ -102,6 +102,83 @@ class TestDeterminism:
         assert sum(r.sifted for r in recs) == rep.sifted_count
 
 
+def aggregate_records(recs, test_fraction):
+    """The report fields of a run, aggregated by hand from its rounds."""
+    sifted = [r for r in recs if r.kept and r.sifted]
+    n_disc = math.ceil(test_fraction * len(sifted))
+    disclosed, key = sifted[:n_disc], sifted[n_disc:]
+
+    def wrong(r):
+        return r.alice_outcome != r.bob_outcome
+
+    correlators = []
+    for basis in range(3):
+        sel = [r for r in sifted if r.alice_basis == basis]
+        agree = sum(not wrong(r) for r in sel)
+        correlators.append((2 * agree - len(sel)) / len(sel) if sel else 0.0)
+    return {
+        "sifted_count": len(sifted),
+        "disclosed_count": n_disc,
+        "empirical_qber": sum(wrong(r) for r in disclosed) / n_disc,
+        "empirical_cjwr": abs(sum(correlators)) / SQRT3,
+        "correlators": tuple(correlators),
+        "raw_key_alice": [r.alice_outcome for r in key],
+        "raw_key_bob": [r.bob_outcome for r in key],
+        "key_count_by_basis": tuple(
+            sum(r.alice_basis == b for r in key) for b in range(3)),
+        "key_mismatch_by_basis": tuple(
+            sum(r.alice_basis == b and wrong(r) for r in key) for b in range(3)),
+        "p_succ_empirical": sum(r.kept for r in recs) / len(recs),
+    }
+
+
+def assert_report_matches_records(rho, cfg):
+    rep = run_protocol(rho, cfg)
+    want = aggregate_records(round_records(rho, cfg), cfg.test_fraction)
+    if cfg.filter is None:
+        want["p_succ_empirical"] = None
+    for field, value in want.items():
+        got = getattr(rep, field)
+        if isinstance(got, np.ndarray):
+            assert got.dtype == np.uint8, field
+            got = got.tolist()
+        assert got == value, field
+        assert type(got) is type(value), field
+    return rep
+
+
+class TestReportEqualsRecords:
+    """Every report field equals the hand aggregate of round_records."""
+
+    @pytest.mark.parametrize("test_fraction", [0.1, 0.5])
+    def test_unfiltered(self, test_fraction):
+        rho = make_werner(WernerParams(0.8))
+        assert_report_matches_records(
+            rho, werner_config(3000, 19, test_fraction=test_fraction))
+
+    @pytest.mark.parametrize("test_fraction", [0.1, 0.5])
+    def test_filtered(self, test_fraction):
+        rho = make_gamma(GammaParams(q=0.9, alpha=0.25))
+        f = FilterPair(0.3, 0.25)
+        ta, tb = optimal_triads(bloch_decompose(apply_local_filters(rho, f).filtered_state))
+        cfg = ProtocolConfig(rounds=3000, seed=23, alice_triad=ta, bob_triad=tb,
+                             filter=f, test_fraction=test_fraction)
+        rep = assert_report_matches_records(rho, cfg)
+        assert 0 < rep.p_succ_empirical < 1
+
+    def test_basis_without_sifted_rounds(self):
+        rho = make_werner(WernerParams(0.8))
+        for seed in range(50):
+            cfg = werner_config(6, seed, test_fraction=0.5)
+            recs = round_records(rho, cfg)
+            bases = {r.alice_basis for r in recs if r.sifted}
+            if bases and len(bases) < 3:
+                rep = assert_report_matches_records(rho, cfg)
+                assert 0.0 in rep.correlators
+                return
+        pytest.fail("no seed left a basis without sifted rounds")
+
+
 class TestStructure:
     def test_counts_and_key_lengths(self):
         rho = make_werner(WernerParams(0.8))

@@ -108,6 +108,25 @@ class TestBlochForm:
         with pytest.raises(InvalidState):
             BlochForm(np.zeros(3), np.zeros(3), w)
 
+    def test_extreme_admitted_states_pass_downstream_checks(self):
+        # Trace 1 + ~STATE_TOL and three eigenvalues at ~PSD_FLOOR: the
+        # largest Pauli expectations and the most negative outcome
+        # probabilities an admitted state can give.  Every later check
+        # must accept them.
+        rng = np.random.default_rng(61)
+        lam = np.diag([1.0 + 3.09e-9, -0.999e-9, -0.999e-9, -0.999e-9])
+        frames = [np.eye(4)] + [random_unitary(rng, dim=4) for _ in range(20)]
+        for u in frames:
+            bf = bloch_decompose(DensityMatrix(u @ lam @ u.conj().T))
+            tensor_spectrum(bf)
+            for _ in range(10):
+                t = random_triad(rng)
+                p = joint_outcome_distribution(bf, t.dirs[0], t.dirs[1])
+                assert p.min() >= 0.0
+        bf = bloch_decompose(DensityMatrix(np.diag([1.0 + 1e-9, -1e-9, 0.0, 0.0])))
+        assert tensor_spectrum(bf).sigma[0] > 1.0
+        assert joint_outcome_distribution(bf, [0, 0, 1], [0, 0, 1])[0, 1] == 0.0
+
     def test_arrays_read_only(self):
         bf = bloch_decompose(random_density_matrix(np.random.default_rng(1)))
         with pytest.raises(ValueError):
@@ -257,6 +276,13 @@ class TestJointOutcomes:
         assert p[0, 0] == pytest.approx(0.0, abs=1e-12)
         assert p[1, 1] == pytest.approx(0.0, abs=1e-12)
         assert p[0, 1] == pytest.approx(0.5, abs=1e-12)
+
+    def test_rejects_unphysical_bloch_form(self):
+        # a valid BlochForm whose p(1, 1) is -1/2
+        bf = BlochForm(np.array([0.0, 0.0, 1.0]), np.array([0.0, 0.0, 1.0]),
+                       np.diag([0.0, 0.0, -1.0]))
+        with pytest.raises(InvalidState):
+            joint_outcome_distribution(bf, [0, 0, 1], [0, 0, 1])
 
     def test_rejects_non_unit_direction(self):
         bf = bloch_decompose(DensityMatrix(np.eye(4, dtype=complex) / 4))
