@@ -89,6 +89,17 @@ CASES = {
         ["scan", "--family", "bell_diagonal", "--range", "w1=0:1:0.1", "--range",
          "w2=0:1:0.1", "--range", "w3=0:1:0.1", "--out", "{out}"],
         "af3960c1da58f218f71852d21cc14f7ed8f7bf2304d8986ef4e5f3cf2809aea7"),
+    "scan gamma large": (
+        ["scan", "--family", "gamma", "--range", "q=0:1:0.02", "--range",
+         "alpha=0:0.785:0.02", "--out", "{out}"],
+        "27d4593edba1f659e291939f96a53c82a1aa024225d725ad8df41e3f059204ba"),
+    "scan werner fine": (
+        ["scan", "--family", "werner", "--range", "omega=0:1:0.001", "--out", "{out}"],
+        "d9b410f6c00c30bbf34b1be522927b9591b5dbf479a2f09d01f448d6b0d4429c"),
+    "scan bell_diagonal fine": (
+        ["scan", "--family", "bell_diagonal", "--range", "w1=0:1:0.05", "--range",
+         "w2=0:1:0.05", "--range", "w3=0:1:0.05", "--out", "{out}"],
+        "daa47d6ddfeb90fd5acd25fe8673b82b99eb4ceb2f0dd32aa7a90c5773e0cb48"),
     "scan out of domain": (
         ["scan", "--family", "werner", "--range", "omega=0:1.5:0.5", "--out", "{out}"],
         "90b5b6d174642f3eaf84868a569bbd801aca15da47cf7489001bb32c85783e0d"),
