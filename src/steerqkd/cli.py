@@ -16,7 +16,8 @@ States are described by JSON files containing either an explicit matrix
     {"family": "werner", "params": {"omega": 0.8}}
     {"matrix": [[[1,0],[0,0],...], ...]}
 
-Exit codes: 0 success, 2 parse/validation error, 3 numerical failure.
+Exit codes: 0 success, 2 parse/validation error (including a ``simulate``
+whose ``--rounds`` cannot fit in memory), 3 numerical failure.
 All numeric output is formatted to at most 10 significant digits and rows
 use plain "\\n" endings, so identical invocations are byte-identical.
 """
@@ -27,7 +28,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -158,18 +159,12 @@ def _parse_family(path: str, data: dict) -> DensityMatrix:
 def analyze_report(rho: DensityMatrix, echo: dict) -> dict:
     bf = bloch_decompose(rho)
     spec = tensor_spectrum(bf)
-    sv = steering.verdict(spec)
     uv = classify_usefulness(spec)
     return {
         "input": echo,
         "bloch": {"a_vec": bf.a_vec, "b_vec": bf.b_vec, "w": bf.w},
         "spectrum": {"sigma": list(spec.sigma), "signed": list(spec.signed)},
-        "steering": {
-            "f3_bound": sv.f3_bound,
-            "steerable": sv.steerable,
-            "chsh_bound": sv.chsh_bound,
-            "chsh_violating": sv.chsh_violating,
-        },
+        "steering": asdict(steering.verdict(spec)),
         "qber": {
             "q_min": uv.q_min,
             "q_min_two_settings": qber_min_two_settings(spec),
@@ -262,8 +257,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "key_count_by_basis": list(report.key_count_by_basis),
             "key_mismatch_by_basis": list(report.key_mismatch_by_basis),
             "p_succ_empirical": report.p_succ_empirical,
-            "raw_key_alice": "".join(map(str, report.raw_key_alice.tolist())),
-            "raw_key_bob": "".join(map(str, report.raw_key_bob.tolist())),
+            # uint8 bits + 48 are the ASCII digits '0' and '1'
+            "raw_key_alice": (report.raw_key_alice + 48).tobytes().decode("ascii"),
+            "raw_key_bob": (report.raw_key_bob + 48).tobytes().decode("ascii"),
         },
     }
     _emit(json.dumps(_jsonable(payload), indent=2) + "\n", args.out)

@@ -15,7 +15,6 @@ generic Bloch pipeline in the test suite.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import ClassVar, NamedTuple
@@ -24,21 +23,19 @@ import numpy as np
 
 from . import steering
 from .errors import BadParam, BadRange
-from .qber import classify_usefulness
-from .qstate import SQRT3, DensityMatrix, _as_real, bloch_decompose, tensor_spectrum
+from .qber import usefulness
+from .qstate import SQRT3, DensityMatrix, _as_real, stack_spectra
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
-# Bell kets in the computational basis (|00>, |01>, |10>, |11>).
-PSI_MINUS = np.array([0, 1, -1, 0], dtype=complex) * _INV_SQRT2
-PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) * _INV_SQRT2
-PHI_MINUS = np.array([1, 0, 0, -1], dtype=complex) * _INV_SQRT2
-PSI_PLUS = np.array([0, 1, 1, 0], dtype=complex) * _INV_SQRT2
-
-#: Bell kets in the weight order used by BellDiagonalParams.
-BELL_KETS = (PSI_MINUS, PHI_PLUS, PHI_MINUS, PSI_PLUS)
+#: Bell kets psi-, phi+, phi-, psi+ (the weight order of BellDiagonalParams)
+#: in the computational basis (|00>, |01>, |10>, |11>).
+BELL_KETS = tuple(np.array(k, dtype=complex) * _INV_SQRT2 for k in (
+    [0, 1, -1, 0], [1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0]))
 
 _BELL_PROJECTORS = tuple(np.outer(k, k.conj()) for k in BELL_KETS)
+
+_GROUND = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)  # |00><00|
 
 
 class FamilyPredicates(NamedTuple):
@@ -79,6 +76,13 @@ class BellDiagonalParams:
     def weights(self) -> tuple[float, float, float, float]:
         return (self.w1, self.w2, self.w3, self.w4)
 
+    @staticmethod
+    def matrices(w1, w2, w3, w4) -> np.ndarray:
+        """(N, 4, 4) stack of :func:`make_bell_diagonal` matrices, unvalidated,
+        for weight arrays of length N."""
+        ws = (np.asarray(w, dtype=float)[:, None, None] for w in (w1, w2, w3, w4))
+        return sum(w * proj for w, proj in zip(ws, _BELL_PROJECTORS))
+
     @classmethod
     def from_werner(cls, omega: float) -> "BellDiagonalParams":
         """Werner state embedding: w1 = (1+3 omega)/4, the rest (1-omega)/4."""
@@ -96,6 +100,12 @@ class WernerParams:
     def __post_init__(self) -> None:
         _check_domain(self)
 
+    @staticmethod
+    def matrices(omega) -> np.ndarray:
+        """(N, 4, 4) stack of :func:`make_werner` matrices, unvalidated."""
+        omega = np.asarray(omega, dtype=float)[:, None, None]
+        return omega * _BELL_PROJECTORS[0] + (1.0 - omega) * np.eye(4) / 4.0
+
 
 @dataclass(frozen=True)
 class GammaParams:
@@ -112,6 +122,15 @@ class GammaParams:
     def __post_init__(self) -> None:
         _check_domain(self)
 
+    @staticmethod
+    def matrices(q, alpha) -> np.ndarray:
+        """(N, 4, 4) stack of :func:`make_gamma` matrices, unvalidated."""
+        q = np.asarray(q, dtype=float)[:, None, None]
+        alpha = np.asarray(alpha, dtype=float)
+        phi = np.zeros((alpha.size, 4), dtype=complex)
+        phi[:, 1], phi[:, 2] = np.sin(alpha), np.cos(alpha)
+        return q * (phi[:, :, None] * phi[:, None, :].conj()) + (1.0 - q) * _GROUND
+
 
 def make_bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
     """Convex mixture of the four Bell projectors with weights ``p``.
@@ -125,14 +144,12 @@ def make_bell_diagonal(p: BellDiagonalParams) -> DensityMatrix:
     {|1-2(w1+w3)|, |1-2(w2+w3)|, |1-2(w1+w2)|}, the triple used by the
     closed-form predicates; see :func:`belldiag_reference_triple`.
     """
-    mat = sum(w * proj for w, proj in zip(p.weights, _BELL_PROJECTORS))
-    return DensityMatrix(mat)
+    return DensityMatrix(BellDiagonalParams.matrices(*([w] for w in p.weights))[0])
 
 
 def make_werner(p: WernerParams) -> DensityMatrix:
     """omega |psi-><psi-| + (1-omega) I/4; correlation tensor -omega I."""
-    mat = p.omega * _BELL_PROJECTORS[0] + (1.0 - p.omega) * np.eye(4) / 4.0
-    return DensityMatrix(mat)
+    return DensityMatrix(WernerParams.matrices([p.omega])[0])
 
 
 def make_gamma(p: GammaParams) -> DensityMatrix:
@@ -140,11 +157,7 @@ def make_gamma(p: GammaParams) -> DensityMatrix:
 
     Correlation tensor: diag(q sin 2a, q sin 2a, 1-2q).
     """
-    phi = np.array([0.0, math.sin(p.alpha), math.cos(p.alpha), 0.0], dtype=complex)
-    ground = np.zeros((4, 4), dtype=complex)
-    ground[0, 0] = 1.0
-    mat = p.q * np.outer(phi, phi.conj()) + (1.0 - p.q) * ground
-    return DensityMatrix(mat)
+    return DensityMatrix(GammaParams.matrices([p.q], [p.alpha])[0])
 
 
 def werner_correlation_diag(p: WernerParams) -> np.ndarray:
@@ -223,12 +236,13 @@ def scan_rows(family: str, ranges: list[tuple[str, float, float, float]]
     Returns the column names and one row per grid point.  Rows follow
     nested-loop order, outermost range first as given.  For bell_diagonal
     scans the fourth weight is derived (w4 = 1 - w1 - w2 - w3) and grid
-    points leaving the simplex are skipped.
+    points leaving the simplex are skipped.  The grid goes through the
+    single-state formulas as one (N, 4, 4) stack (:func:`stack_spectra`).
     """
     if family not in _FAMILY_MAKERS:
         raise BadRange(
             f"unknown family {family!r}; expected one of {sorted(_FAMILY_MAKERS)}")
-    params_cls, maker, fields = _FAMILY_MAKERS[family]
+    params_cls, _, fields = _FAMILY_MAKERS[family]
     bell = family == "bell_diagonal"
     scanned = fields[:-1] if bell else fields
     param_names = [k for k, *_ in ranges]
@@ -246,22 +260,19 @@ def scan_rows(family: str, ranges: list[tuple[str, float, float, float]]
     header = ((*param_names, "w4", *cols, "absolutely_local") if bell
               else (*param_names, *cols))
 
-    rows = []
-    for point in itertools.product(*(_grid(lo, hi, step) for _, lo, hi, step in ranges)):
-        kwargs = dict(zip(param_names, point))
-        if bell:
-            w4 = 1.0 - sum(point)
-            if w4 < -steering.WEIGHT_TOL:
-                continue
-            kwargs["w4"] = max(w4, 0.0)
-        params = params_cls(**kwargs)
-        spec = tensor_spectrum(bloch_decompose(maker(params)))
-        sv = steering.verdict(spec)
-        uv = classify_usefulness(spec)
-        head = (*point, params.w4) if bell else point
-        row = (*head, sv.f3_bound, sv.chsh_bound, uv.q_min,
-               float(sv.steerable), float(uv.useful), float(sv.chsh_violating))
-        if bell:
-            row += (float(steering.belldiag_absolutely_chsh_local(params.weights)),)
-        rows.append(row)
-    return header, tuple(rows)
+    grid = np.meshgrid(*(_grid(lo, hi, step) for _, lo, hi, step in ranges), indexing="ij")
+    columns = dict(zip(param_names, (g.ravel() for g in grid)))
+    if bell:
+        w4 = 1.0 - sum(columns[k] for k in param_names)
+        inside = w4 >= -steering.WEIGHT_TOL
+        columns = {k: v[inside] for k, v in columns.items()}
+        columns["w4"] = np.maximum(w4[inside], 0.0)
+        steering.check_weights(np.column_stack([columns[k] for k in fields]))
+    sigma, _ = stack_spectra(params_cls.matrices(*(columns[k] for k in fields)))
+    f3, steerable, chsh, violating = steering.verdicts(sigma.T)
+    q_min, useful, _ = usefulness(sigma.T)
+    table = [columns[k] for k in header[:len(fields)]]
+    table += [f3, chsh, q_min, steerable, useful, violating]
+    if bell:
+        table.append(steering.absolute_chsh_values(*(columns[k] for k in fields[:3])) <= 0.5)
+    return header, tuple(map(tuple, np.column_stack(table).tolist()))

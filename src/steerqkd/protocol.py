@@ -51,6 +51,10 @@ from .qstate import (
 )
 
 
+#: Most rounds one run may draw: numpy cannot index more 8-byte draws.
+MAX_ROUNDS = np.iinfo(np.intp).max // 8
+
+
 def _integer(value) -> int | None:
     """``value`` as a Python int if it has an integral type other than bool."""
     if isinstance(value, (bool, np.bool_)):
@@ -82,6 +86,8 @@ class ProtocolConfig:
         rounds, seed = _integer(self.rounds), _integer(self.seed)
         if rounds is None or rounds < 1:
             raise BadParam(f"rounds must be a positive integer, got {self.rounds!r}")
+        if rounds > MAX_ROUNDS:
+            raise BadParam(f"rounds {rounds} exceeds the {MAX_ROUNDS} one run can draw")
         if seed is None or not 0 <= seed < 2 ** 64:
             raise BadParam(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         object.__setattr__(self, "rounds", rounds)
@@ -154,10 +160,13 @@ def _draw_rounds(rho: DensityMatrix, cfg: ProtocolConfig):
     cdf = _outcome_cdfs(bloch_decompose(measured), cfg)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.rounds
-    a_idx = rng.integers(0, 3, size=n)
-    b_idx = rng.integers(0, 3, size=n)
-    kept = np.ones(n, dtype=bool) if p_succ is None else rng.random(n) < p_succ
-    u = rng.random(n)
+    try:
+        a_idx = rng.integers(0, 3, size=n)
+        b_idx = rng.integers(0, 3, size=n)
+        kept = np.ones(n, dtype=bool) if p_succ is None else rng.random(n) < p_succ
+        u = rng.random(n)
+    except MemoryError as exc:
+        raise BadParam(f"rounds {n} do not fit in memory") from exc
     return a_idx, b_idx, kept, u, cdf, p_succ
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadParam, BadQber, BadViolation
-from .qstate import SQRT3, BlochForm, MeasurementTriad, TensorSpectrum
+from .qstate import SQRT3, BlochForm, MeasurementTriad, TensorSpectrum, sigma_sum
 
 #: Largest QBER attainable with an optimal triad pair on a non-steerable
 #: state; states achieving a strictly lower rate are useful for key
@@ -36,25 +36,13 @@ _BASE_AXES = np.array([
 ])
 
 
-def _enumerate_axis_triads() -> np.ndarray:
-    """All 48 triads assembled from the signed coordinate axes.
-
-    A triad assigns a distinct axis (z, x or y) to each of the three
-    measurement slots and picks a sign per slot: 3! orders times 2^3 signs.
-    Order of enumeration is fixed (permutations outer, sign patterns inner)
-    so argmin results are deterministic.
-    """
-    triads = np.empty((48, 3, 3))
-    idx = 0
-    for perm in itertools.permutations(range(3)):
-        axes = _BASE_AXES[list(perm)]
-        for signs in itertools.product((1.0, -1.0), repeat=3):
-            triads[idx] = axes * np.array(signs)[:, None]
-            idx += 1
-    return triads
-
-
-_AXIS_TRIADS = _enumerate_axis_triads()
+# All 48 triads assembled from the signed coordinate axes: a distinct axis
+# (z, x or y) per measurement slot and a sign per slot, 3! orders times 2^3
+# signs.  Permutations outer, sign patterns inner, so argmin results are
+# deterministic.
+_AXIS_TRIADS = np.array([_BASE_AXES[list(perm)] * np.array(signs)[:, None]
+                         for perm in itertools.permutations(range(3))
+                         for signs in itertools.product((1.0, -1.0), repeat=3)])
 _AXIS_TRIADS.setflags(write=False)
 
 
@@ -73,9 +61,20 @@ def qber_three_settings(bf: BlochForm,
     return (3.0 - total) / 6.0
 
 
+def usefulness(sigma):
+    """Minimal error rate, usefulness and margin from singular values ``sigma``.
+
+    ``sigma`` is three floats, or three arrays (one value per state) for a
+    stack; pass the transpose of an (N, 3) array.  With s = sigma1 + sigma2
+    + sigma3, returns ``((3 - s)/6, s > sqrt(3), (s - sqrt(3))/6)``.
+    """
+    s = sigma_sum(sigma)
+    return (3.0 - s) / 6.0, s > SQRT3, (s - SQRT3) / 6.0
+
+
 def qber_min(spec: TensorSpectrum) -> float:
     """Minimal three-setting error rate, (3 - sum of singular values)/6."""
-    return (3.0 - spec.sigma_sum) / 6.0
+    return usefulness(spec.sigma)[0]
 
 
 def qber_min_two_settings(spec: TensorSpectrum) -> float:
@@ -142,12 +141,12 @@ class UsefulnessVerdict:
 
 def classify_usefulness(spec: TensorSpectrum) -> UsefulnessVerdict:
     """Decide usefulness from the correlation spectrum."""
-    s = spec.sigma_sum
+    q_min, useful, margin = usefulness(spec.sigma)
     return UsefulnessVerdict(
-        q_min=qber_min(spec),
-        useful=s > SQRT3,
+        q_min=q_min,
+        useful=useful,
         critical_rate=CRITICAL_QBER,
-        margin=(s - SQRT3) / 6.0,
+        margin=margin,
     )
 
 

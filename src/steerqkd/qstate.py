@@ -47,19 +47,19 @@ DIRECTION_TOL = 1e-9
 #: sqrt(3), the three-setting scale shared by the steering and error-rate formulas.
 SQRT3 = math.sqrt(3.0)
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY_2 = np.eye(2, dtype=complex)
 
 #: Pauli operators stacked in (X, Y, Z) order, shape (3, 2, 2).
-PAULIS = np.stack([SIGMA_X, SIGMA_Y, SIGMA_Z])
+PAULIS = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 
 # The Bloch basis: _PAULI_PRODUCTS[m, n] = s_m x s_n with s = (I, X, Y, Z),
 # shape (4, 4, 4, 4).  Read-only; both directions of the Bloch map use it.
 _PAULI_PRODUCTS = np.array([[np.kron(sm, sn) for sn in (IDENTITY_2, *PAULIS)]
                             for sm in (IDENTITY_2, *PAULIS)])
 _PAULI_PRODUCTS.setflags(write=False)
+
+# Factors taking singular values to the signed spectrum, indexed by det w < 0.
+_DET_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, 1.0, -1.0]])
 
 
 def matrices_close(a: np.ndarray, b: np.ndarray, tol: float = DEFAULT_TOL) -> bool:
@@ -83,10 +83,80 @@ def _frozen_array(values, shape: tuple[int, ...]) -> np.ndarray:
     arr = np.array(values, dtype=float)
     if arr.shape != shape:
         raise InvalidState(f"expected array of shape {shape}, got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise InvalidState("array contains non-finite entries")
     arr.setflags(write=False)
     return arr
+
+
+def _first_failure(*failed) -> tuple[int, int] | None:
+    """(row, check) of the first failed check of the first failing row, or None;
+    each flag, in check order, is a boolean array over the rows or False."""
+    failing = failed[0]
+    for flag in failed[1:]:
+        failing = failing | flag
+    if not failing.any():
+        return None
+    row = int(np.argmax(failing))
+    return row, next(k for k, f in enumerate(failed) if (f[row] if np.ndim(f) else f))
+
+
+def validate_stack(mats) -> np.ndarray:
+    """The symmetrised, read-only stack after :class:`DensityMatrix`'s checks on each
+    (4, 4) matrix; the first failing one raises the error ``DensityMatrix`` would."""
+    mats = np.asarray(mats, dtype=complex)
+    if mats.ndim != 3 or mats.shape[1:] != (4, 4):
+        raise InvalidState(f"expected an (N, 4, 4) stack, got shape {mats.shape}")
+    nonfinite = False
+    if not np.isfinite(mats).all():
+        nonfinite = ~np.isfinite(mats).all(axis=(1, 2))
+        mats = np.where(nonfinite[:, None, None], 0.0, mats)
+    adjoint = mats.conj().swapaxes(1, 2)
+    herm_dev = np.abs(mats - adjoint).max(axis=(1, 2))
+    sym = (mats + adjoint) / 2
+    trace_dev = np.abs(np.trace(sym, axis1=1, axis2=2) - 1.0)
+    lo = np.linalg.eigvalsh(sym)[:, 0]  # eigenvalues come in ascending order
+    hit = _first_failure(nonfinite, herm_dev > STATE_TOL, trace_dev > STATE_TOL,
+                         lo < PSD_FLOOR)
+    if hit is not None:
+        i = hit[0]
+        raise InvalidState(("matrix contains non-finite entries",
+                            f"matrix is not Hermitian (deviation {herm_dev[i]:.3e})",
+                            f"trace differs from 1 by {trace_dev[i]:.3e}",
+                            f"matrix has negative eigenvalue {lo[i]:.3e}")[hit[1]])
+    sym.setflags(write=False)
+    return sym
+
+
+def bloch_tensors(rho: np.ndarray) -> np.ndarray:
+    """``t[..., m, n] = Tr[rho s_m x s_n]``, s = (I, X, Y, Z), of a 4x4 state or
+    an (N, 4, 4) stack: ``a = t[..., 1:, 0]``, ``b = t[..., 0, 1:]`` and
+    ``w = t[..., 1:, 1:]``.  The imaginary residue is discarded."""
+    # matmul + trace reproduces the per-product traces bit for bit; einsum does not.
+    return np.trace(rho[..., None, None, :, :] @ _PAULI_PRODUCTS, axis1=-2, axis2=-1).real
+
+
+def tensor_spectra(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:class:`TensorSpectrum`'s ``sigma`` and ``signed`` of (N stacked) 3x3 tensors."""
+    sigma = np.linalg.svd(w, compute_uv=False)
+    return sigma, sigma * _DET_SIGNS[(np.linalg.det(w) < 0).astype(int)]
+
+
+def stack_spectra(mats) -> tuple[np.ndarray, np.ndarray]:
+    """(N, 3) ``sigma`` and ``signed`` of an (N, 4, 4) stack of states.
+
+    The stack passes :func:`validate_stack`.  The checks of ``BlochForm`` and
+    ``TensorSpectrum`` are not repeated: admitted states keep every Bloch
+    component and singular value within 1 + BLOCH_TOL, and svd and det give
+    ordered, sign-consistent spectra.
+    """
+    return tensor_spectra(bloch_tensors(validate_stack(mats))[:, 1:, 1:])
+
+
+def sigma_sum(sigma):
+    """sigma1 + sigma2 + sigma3, in that order, of three floats or arrays."""
+    s1, s2, s3 = sigma
+    return s1 + s2 + s3
 
 
 @dataclass(frozen=True)
@@ -106,20 +176,7 @@ class DensityMatrix:
         mat = np.array(self.matrix, dtype=complex)
         if mat.shape != (4, 4):
             raise InvalidState(f"expected a 4x4 matrix, got shape {mat.shape}")
-        if not np.all(np.isfinite(mat.real)) or not np.all(np.isfinite(mat.imag)):
-            raise InvalidState("matrix contains non-finite entries")
-        herm_dev = float(np.max(np.abs(mat - mat.conj().T)))
-        if herm_dev > STATE_TOL:
-            raise InvalidState(f"matrix is not Hermitian (deviation {herm_dev:.3e})")
-        mat = (mat + mat.conj().T) / 2
-        trace_dev = abs(mat.trace() - 1.0)
-        if trace_dev > STATE_TOL:
-            raise InvalidState(f"trace differs from 1 by {trace_dev:.3e}")
-        lo = float(np.linalg.eigvalsh(mat).min())
-        if lo < PSD_FLOOR:
-            raise InvalidState(f"matrix has negative eigenvalue {lo:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        object.__setattr__(self, "matrix", validate_stack(mat[None])[0])
 
     @classmethod
     def from_ket(cls, ket: np.ndarray) -> "DensityMatrix":
@@ -157,7 +214,7 @@ class BlochForm:
         slack = 1.0 + BLOCH_TOL
         if np.linalg.norm(a) > slack or np.linalg.norm(b) > slack:
             raise InvalidState("local Bloch vector lies outside the unit ball")
-        if np.max(np.abs(w)) > slack:
+        if np.abs(w).max() > slack:
             raise InvalidState("correlation tensor entry outside [-1, 1]")
         object.__setattr__(self, "a_vec", a)
         object.__setattr__(self, "b_vec", b)
@@ -199,10 +256,8 @@ class TensorSpectrum:
         w = np.asarray(w, dtype=float)
         if w.shape != (3, 3):
             raise InvalidState(f"expected 3x3 tensor, got shape {w.shape}")
-        sigma = np.linalg.svd(w, compute_uv=False)
-        det_sign = -1.0 if np.linalg.det(w) < 0 else 1.0
-        s = (float(sigma[0]), float(sigma[1]), float(sigma[2]))
-        return cls(s, (s[0], s[1], det_sign * s[2]))
+        sigma, signed = tensor_spectra(w)
+        return cls(tuple(sigma.tolist()), tuple(signed.tolist()))
 
     @classmethod
     def from_diagonal(cls, t1: float, t2: float, t3: float) -> "TensorSpectrum":
@@ -211,11 +266,7 @@ class TensorSpectrum:
 
     @property
     def sigma_sum(self) -> float:
-        return self.sigma[0] + self.sigma[1] + self.sigma[2]
-
-    @property
-    def sigma_sq_sum(self) -> float:
-        return self.sigma[0] ** 2 + self.sigma[1] ** 2 + self.sigma[2] ** 2
+        return sigma_sum(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -280,8 +331,7 @@ def bloch_decompose(rho: DensityMatrix) -> BlochForm:
         and ``w[i, j] = Tr[rho sigma_i x sigma_j]``.  All traces are real for
         a Hermitian input; the imaginary residue is discarded.
     """
-    # matmul + trace reproduces the per-product traces bit for bit; einsum does not.
-    t = np.trace(rho.matrix @ _PAULI_PRODUCTS, axis1=2, axis2=3).real
+    t = bloch_tensors(rho.matrix)
     return BlochForm(t[1:, 0], t[0, 1:], t[1:, 1:])
 
 

@@ -11,16 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BadWeights
 from .qstate import (
-    BlochForm,
-    DensityMatrix,
-    SQRT3,
-    MeasurementTriad,
-    TensorSpectrum,
-    _as_real,
-    bloch_decompose,
-)
+    SQRT3, BlochForm, DensityMatrix, MeasurementTriad, TensorSpectrum, _as_real,
+    _first_failure, bloch_decompose)
 
 #: Weights may miss the probability simplex by at most this much.
 WEIGHT_TOL = 1e-10
@@ -40,39 +36,55 @@ def cjwr_functional(rho: DensityMatrix | BlochForm,
     return abs(total) / SQRT3
 
 
-def f3_bound(spec: TensorSpectrum) -> float:
-    """Maximum of the three-setting steering functional over all triads.
+def verdicts(sigma):
+    """The :class:`SteeringVerdict` fields from singular values ``sigma``: three
+    floats or three arrays (an (N, 3) array transposed).  Squares are products,
+    the same bits for floats and arrays; ``float ** 2`` calls ``pow``, which may differ."""
+    s1, s2, s3 = sigma
+    chsh_sq = s1 * s1 + s2 * s2
+    f3 = np.sqrt(chsh_sq + s3 * s3)
+    return f3, f3 > 1.0, 2.0 * np.sqrt(chsh_sq), chsh_sq > 1.0
 
-    Equals ``sqrt(sigma1^2 + sigma2^2 + sigma3^2) = sqrt(Tr W^T W)``.
-    """
-    return math.sqrt(spec.sigma_sq_sum)
+
+def f3_bound(spec: TensorSpectrum) -> float:
+    """Maximum of the three-setting steering functional over all triads,
+    ``sqrt(sigma1^2 + sigma2^2 + sigma3^2) = sqrt(Tr W^T W)``."""
+    return verdict(spec).f3_bound
 
 
 def is_f3_steerable(spec: TensorSpectrum) -> bool:
     """True iff the optimal three-setting functional strictly exceeds 1."""
-    return f3_bound(spec) > 1.0
+    return verdict(spec).steerable
 
 
 def chsh_bound(spec: TensorSpectrum) -> float:
     """Maximal CHSH value 2 sqrt(sigma1^2 + sigma2^2) over local measurements."""
-    return 2.0 * math.sqrt(spec.sigma[0] ** 2 + spec.sigma[1] ** 2)
+    return verdict(spec).chsh_bound
 
 
 def is_chsh_violating(spec: TensorSpectrum) -> bool:
     """True iff some CHSH inequality is violated, i.e. sigma1^2+sigma2^2 > 1."""
-    return spec.sigma[0] ** 2 + spec.sigma[1] ** 2 > 1.0
+    return verdict(spec).chsh_violating
+
+
+def check_weights(w: np.ndarray) -> None:
+    """Raise :class:`BadWeights` for the first row of ``w`` (N, 4) off the simplex."""
+    hit = _first_failure(
+        ~np.isfinite(w).all(axis=1),
+        ((w < -WEIGHT_TOL) | (w > 1.0 + WEIGHT_TOL)).any(axis=1),
+        np.abs(((w[:, 0] + w[:, 1]) + w[:, 2]) + w[:, 3] - 1.0) > WEIGHT_TOL)
+    if hit is not None:
+        ws = tuple(w[hit[0]].tolist())
+        raise BadWeights(("weights must be finite",
+                          f"weights outside [0, 1]: {ws}",
+                          f"weights sum to {sum(ws)!r}, expected 1")[hit[1]])
 
 
 def _validated_weights(w) -> tuple[float, float, float, float]:
     ws = tuple(_as_real(x, BadWeights, "weights") for x in w)
     if len(ws) != 4:
         raise BadWeights(f"expected four weights, got {len(ws)}")
-    if any(not math.isfinite(x) for x in ws):
-        raise BadWeights("weights must be finite")
-    if any(x < -WEIGHT_TOL or x > 1.0 + WEIGHT_TOL for x in ws):
-        raise BadWeights(f"weights outside [0, 1]: {ws}")
-    if abs(sum(ws) - 1.0) > WEIGHT_TOL:
-        raise BadWeights(f"weights sum to {sum(ws)!r}, expected 1")
+    check_weights(np.array([ws]))
     return ws
 
 
@@ -97,24 +109,28 @@ def belldiag_f3_steerable(w) -> bool:
     return belldiag_f3_bound(w) > 1.0
 
 
-def belldiag_absolute_chsh_value(w) -> float:
+def absolute_chsh_values(w1, w2, w3):
     """Worst-case CHSH figure of merit over global unitary orbits.
 
     Maximum over the cyclic index triples (i,j,k) of
 
         1 - 4(w_i - w_i^2 - w_i w_j - w_i w_k) - 2(w_j + w_k - w_j^2 - w_k^2)
 
-    computed from the first three weights.  The state stays CHSH local
-    under every global unitary iff this does not exceed 1/2.
+    for the first three Bell-diagonal weights, given as floats or as arrays
+    (one value per state).  The state stays CHSH local under every global
+    unitary iff this does not exceed 1/2.
     """
-    w1, w2, w3, _ = _validated_weights(w)
-    vals = []
-    for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        wi, wj, wk = (w1, w2, w3)[i], (w1, w2, w3)[j], (w1, w2, w3)[k]
-        vals.append(1.0
-                    - 4.0 * (wi - wi * wi - wi * wj - wi * wk)
-                    - 2.0 * (wj + wk - wj * wj - wk * wk))
-    return max(vals)
+    ws = (w1, w2, w3)
+    vals = [1.0
+            - 4.0 * (wi - wi * wi - wi * wj - wi * wk)
+            - 2.0 * (wj + wk - wj * wj - wk * wk)
+            for wi, wj, wk in (ws, ws[1:] + ws[:1], ws[2:] + ws[:2])]
+    return np.maximum(np.maximum(vals[0], vals[1]), vals[2])
+
+
+def belldiag_absolute_chsh_value(w) -> float:
+    """:func:`absolute_chsh_values` of a validated weight 4-tuple."""
+    return float(absolute_chsh_values(*_validated_weights(w)[:3]))
 
 
 def belldiag_absolutely_chsh_local(w) -> bool:
@@ -139,11 +155,5 @@ class SteeringVerdict:
 
 def verdict(spec: TensorSpectrum) -> SteeringVerdict:
     """Evaluate both steering and CHSH criteria on a correlation spectrum."""
-    f3 = f3_bound(spec)
-    chsh = chsh_bound(spec)
-    return SteeringVerdict(
-        f3_bound=f3,
-        steerable=f3 > 1.0,
-        chsh_bound=chsh,
-        chsh_violating=is_chsh_violating(spec),
-    )
+    f3, steerable, chsh, violating = verdicts(spec.sigma)
+    return SteeringVerdict(float(f3), bool(steerable), float(chsh), bool(violating))

@@ -246,6 +246,17 @@ class TestSimulate:
         assert main(["simulate", path, "--rounds", "100", "--seed", "1",
                      "--filter", "1e-7,1e-7"]) == 3
 
+    @pytest.mark.parametrize("rounds", [2 ** 50, 2 ** 62])
+    def test_rounds_beyond_memory_are_validation_errors(self, rounds, tmp_path, capsys):
+        # numpy refuses both sizes before allocating anything: 2**50 rounds
+        # ask for 8 PiB, and 2**62 lie beyond what numpy can index.
+        path = write_state(tmp_path, "w.json",
+                           {"family": "werner", "params": {"omega": 0.8}})
+        assert main(["simulate", path, "--rounds", str(rounds), "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"rounds {rounds} " in captured.err
+
     def test_filtered_triads_come_from_measured_state(self, tmp_path, capsys):
         # gamma(0.3, 0.24) is useful only after filtering; the echoed triads
         # must reach the filtered state's minimal QBER, not the raw state's.

@@ -24,6 +24,7 @@ from steerqkd import (
 )
 from steerqkd.families import BellDiagonalParams, GammaParams, WernerParams
 from steerqkd.filtering import apply_local_filters
+from steerqkd.protocol import MAX_ROUNDS
 
 SQRT3 = math.sqrt(3.0)
 
@@ -43,6 +44,17 @@ class TestConfigValidation:
             ProtocolConfig(rounds=2.5, seed=1,
                            alice_triad=MeasurementTriad.axes(),
                            bob_triad=MeasurementTriad.axes())
+
+    def test_rounds_numpy_cannot_index(self):
+        werner_config(MAX_ROUNDS, 1)
+        with pytest.raises(BadParam, match=f"rounds {MAX_ROUNDS + 1} exceeds"):
+            werner_config(MAX_ROUNDS + 1, 1)
+
+    def test_draws_beyond_memory(self):
+        # numpy refuses 2**50 rounds (8 PiB of draws) before allocating.
+        cfg = werner_config(2 ** 50, 1)
+        with pytest.raises(BadParam, match=f"rounds {2 ** 50} do not fit in memory"):
+            run_protocol(make_werner(WernerParams(0.8)), cfg)
 
     def test_rejects_bad_test_fraction(self):
         for bad in (0.0, 1.0, -0.2, "0.5"):
