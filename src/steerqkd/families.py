@@ -260,13 +260,12 @@ def scan_rows(family: str, ranges: list[tuple[str, float, float, float]]
     header = ((*param_names, "w4", *cols, "absolutely_local") if bell
               else (*param_names, *cols))
 
-    grid = np.meshgrid(*(_grid(lo, hi, step) for _, lo, hi, step in ranges), indexing="ij")
-    columns = dict(zip(param_names, (g.ravel() for g in grid)))
+    axes = np.ix_(*(_grid(lo, hi, step) for _, lo, hi, step in ranges))
+    w4 = 1.0 - sum(axes) if bell else np.zeros([a.size for a in axes])  # 0 keeps every point
+    points = np.nonzero(w4 >= -steering.WEIGHT_TOL)  # grid indices in row-major order
+    columns = {k: a.ravel()[i] for k, a, i in zip(param_names, axes, points)}
     if bell:
-        w4 = 1.0 - sum(columns[k] for k in param_names)
-        inside = w4 >= -steering.WEIGHT_TOL
-        columns = {k: v[inside] for k, v in columns.items()}
-        columns["w4"] = np.maximum(w4[inside], 0.0)
+        columns["w4"] = np.maximum(w4[points], 0.0)
         steering.check_weights(np.column_stack([columns[k] for k in fields]))
     sigma, _ = stack_spectra(params_cls.matrices(*(columns[k] for k in fields)))
     f3, steerable, chsh, violating = steering.verdicts(sigma.T)

@@ -62,12 +62,9 @@ def qber_three_settings(bf: BlochForm,
 
 
 def usefulness(sigma):
-    """Minimal error rate, usefulness and margin from singular values ``sigma``.
-
-    ``sigma`` is three floats, or three arrays (one value per state) for a
-    stack; pass the transpose of an (N, 3) array.  With s = sigma1 + sigma2
-    + sigma3, returns ``((3 - s)/6, s > sqrt(3), (s - sqrt(3))/6)``.
-    """
+    """``(q_min, useful, margin)``, that is ``((3 - s)/6, s > sqrt(3), (s - sqrt(3))/6)``
+    with s = sigma1 + sigma2 + sigma3, from three floats or three arrays (an
+    (N, 3) array transposed)."""
     s = sigma_sum(sigma)
     return (3.0 - s) / 6.0, s > SQRT3, (s - SQRT3) / 6.0
 
