@@ -238,6 +238,8 @@ def scan_rows(family: str, ranges: list[tuple[str, float, float, float]]
     scans the fourth weight is derived (w4 = 1 - w1 - w2 - w3) and grid
     points leaving the simplex are skipped.  The grid goes through the
     single-state formulas as one (N, 4, 4) stack (:func:`stack_spectra`).
+    A range that is not finite, has a step <= 0, is reversed or leaves the
+    family's domain raises :class:`BadRange`.
     """
     if family not in _FAMILY_MAKERS:
         raise BadRange(
@@ -250,7 +252,14 @@ def scan_rows(family: str, ranges: list[tuple[str, float, float, float]]
         raise BadRange(
             f"family {family!r} needs exactly one range per parameter "
             f"{sorted(scanned)}, got {param_names}")
-    for key, lo, hi, _ in ranges:
+    for key, lo, hi, step in ranges:
+        text = f"{key}={lo!r}:{hi!r}:{step!r}"
+        if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
+            raise BadRange(f"range {text} is not finite")
+        if step <= 0.0:
+            raise BadRange(f"range {text} must have a positive step")
+        if hi < lo:
+            raise BadRange(f"range {text} is reversed (hi < lo)")
         dom_lo, dom_hi = params_cls.DOMAIN[key]
         if lo < dom_lo or hi > dom_hi:
             raise BadRange(

@@ -18,6 +18,9 @@ generator), consumed in this fixed order:
 3. in filtering mode only, ``rounds`` uniforms for filter heralding,
 4. ``rounds`` uniforms for outcome sampling.
 
+Basis indices are drawn as int64, the default dtype of ``integers`` and
+part of the stream, and stored as ``uint8``, so the stream is unchanged.
+
 Outcomes are sampled by inverse CDF over the four Born probabilities in
 lexicographic (a, b) order: (0,0), (0,1), (1,0), (1,1).  Identical inputs
 therefore reproduce bit-identical reports.  Outcome uniforms are drawn for
@@ -155,15 +158,19 @@ def _measured_state(rho: DensityMatrix, pair: FilterPair | None):
 
 def _draw_rounds(rho: DensityMatrix, cfg: ProtocolConfig):
     """Basis indices, heralding mask and outcome uniforms in the documented
-    RNG order, plus the outcome CDF table and the analytic heralding rate."""
+    RNG order, plus the outcome CDF table and the analytic heralding rate.
+
+    The mask is None without filtering: every round is kept.  The CDF table
+    has one row per basis pair, row ``a * 3 + b``.
+    """
     measured, p_succ = _measured_state(rho, cfg.filter)
-    cdf = _outcome_cdfs(bloch_decompose(measured), cfg)
+    cdf = _outcome_cdfs(bloch_decompose(measured), cfg).reshape(9, 4)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.rounds
     try:
-        a_idx = rng.integers(0, 3, size=n)
-        b_idx = rng.integers(0, 3, size=n)
-        kept = np.ones(n, dtype=bool) if p_succ is None else rng.random(n) < p_succ
+        a_idx = rng.integers(0, 3, size=n).astype(np.uint8)
+        b_idx = rng.integers(0, 3, size=n).astype(np.uint8)
+        kept = None if p_succ is None else rng.random(n) < p_succ
         u = rng.random(n)
     except MemoryError as exc:
         raise BadParam(f"rounds {n} do not fit in memory") from exc
@@ -171,9 +178,16 @@ def _draw_rounds(rho: DensityMatrix, cfg: ProtocolConfig):
 
 
 def _outcomes(cdf, a_idx, b_idx, u) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse-CDF outcome bits (alice, bob) for rounds with uniforms ``u``."""
-    k = (u[:, None] >= cdf[a_idx, b_idx, :3]).sum(axis=1)
-    return (k >> 1).astype(np.uint8), (k & 1).astype(np.uint8)
+    """Inverse-CDF outcome bits (alice, bob) for rounds with uniforms ``u``.
+
+    ``k``, the index of the joint outcome, counts the first three
+    cumulative probabilities of the round's basis pair that ``u`` reaches.
+    """
+    row = a_idx * 3 + b_idx
+    k = np.zeros(u.size, dtype=np.uint8)
+    for threshold in cdf[:, :3].T:
+        k += u >= threshold[row]
+    return k >> 1, k & 1
 
 
 def round_records(rho: DensityMatrix, cfg: ProtocolConfig) -> list[RoundRecord]:
@@ -190,7 +204,7 @@ def round_records(rho: DensityMatrix, cfg: ProtocolConfig) -> list[RoundRecord]:
             bob_basis=int(b_idx[i]),
             alice_outcome=int(a_out[i]),
             bob_outcome=int(b_out[i]),
-            kept=bool(kept[i]),
+            kept=kept is None or bool(kept[i]),
             sifted=bool(a_idx[i] == b_idx[i]),
         )
         for i in range(cfg.rounds)
@@ -209,7 +223,10 @@ def run_protocol(rho: DensityMatrix, cfg: ProtocolConfig) -> SimulationReport:
         Propagated from the filtering step in filtering mode.
     """
     a_idx, b_idx, kept, u, cdf, p_succ = _draw_rounds(rho, cfg)
-    sift = np.flatnonzero(kept & (a_idx == b_idx))
+    matched = a_idx == b_idx
+    if kept is not None:
+        matched &= kept
+    sift = np.flatnonzero(matched)
     if sift.size == 0:
         raise DegenerateConfig(
             f"{cfg.rounds} rounds produced no sifted rounds to disclose")

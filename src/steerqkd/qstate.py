@@ -244,7 +244,8 @@ class TensorSpectrum:
             raise InvalidState("singular values must be descending and non-negative")
         if s[0] > 1.0 + BLOCH_TOL:
             raise InvalidState("singular value exceeds 1")
-        if any(abs(abs(t[i]) - s[i]) > 1e-12 for i in range(3)):
+        # written so that NaN fails it
+        if not all(abs(abs(t[i]) - s[i]) <= 1e-12 for i in range(3)):
             raise InvalidState("signed triple inconsistent with singular values")
         if t[0] < 0 or t[1] < 0:
             raise InvalidState("only the smallest signed value may be negative")

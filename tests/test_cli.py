@@ -15,8 +15,10 @@ from steerqkd import (
     make_werner,
     qber_three_settings,
 )
+from steerqkd import protocol
 from steerqkd.cli import (
     ScanResult,
+    build_parser,
     load_state_file,
     main,
     scan_result,
@@ -257,6 +259,46 @@ class TestSimulate:
         assert captured.out == ""
         assert f"rounds {rounds} " in captured.err
 
+    @pytest.mark.parametrize("failing", ["integers", "narrowing", "random"])
+    @pytest.mark.parametrize("filtered", [False, True])
+    def test_out_of_memory_at_any_draw(self, failing, filtered, tmp_path, monkeypatch,
+                                       capsys):
+        # MemoryError from any draw, or from narrowing the indices to uint8,
+        # is a validation error; the failure is injected, nothing large runs.
+        class Refuses(np.ndarray):
+            def astype(self, *args, **kwargs):
+                raise MemoryError
+
+        default_rng = np.random.default_rng
+
+        class Generator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+                self.draws = 0
+
+            def integers(self, *args, **kwargs):
+                self.draws += 1
+                if failing == "integers" and self.draws == 2:
+                    raise MemoryError
+                drawn = self.rng.integers(*args, **kwargs)
+                return drawn.view(Refuses) if failing == "narrowing" else drawn
+
+            def random(self, *args, **kwargs):
+                if failing == "random":
+                    raise MemoryError
+                return self.rng.random(*args, **kwargs)
+
+        monkeypatch.setattr(protocol.np.random, "default_rng", Generator)
+        path = write_state(tmp_path, "w.json",
+                           {"family": "werner", "params": {"omega": 0.8}})
+        argv = ["simulate", path, "--rounds", "1000", "--seed", "1"]
+        if filtered:
+            argv += ["--filter", "0.5,0.5"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "rounds 1000 do not fit in memory" in captured.err
+
     def test_filtered_triads_come_from_measured_state(self, tmp_path, capsys):
         # gamma(0.3, 0.24) is useful only after filtering; the echoed triads
         # must reach the filtered state's minimal QBER, not the raw state's.
@@ -328,6 +370,33 @@ class TestTableOne:
         res = table1_result(0.5, 0.5, [0.0], 0.1)
         assert math.isnan(res.rows[0][1])
         assert res.to_csv().splitlines()[1] == "0,nan,nan,nan"
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_calls_share_no_state(self, tmp_path):
+        # --range is an append action: a parser built once must still start
+        # every call from an empty list.
+        first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["scan", "--family", "werner", "--range", "omega=0:1:0.5",
+                     "--out", str(first)]) == 0
+        assert main(["scan", "--family", "gamma", "--range", "q=0:1:0.5",
+                     "--range", "alpha=0:0.7:0.35", "--out", str(second)]) == 0
+        assert first.read_text() == scan_result("werner", ["omega=0:1:0.5"]).to_csv()
+        assert second.read_text() == scan_result(
+            "gamma", ["q=0:1:0.5", "alpha=0:0.7:0.35"]).to_csv()
+
+    def test_bad_argv_still_exits_2(self, tmp_path, capsys):
+        out = str(tmp_path / "scan.csv")
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["scan", "--family", "werner", "--out", out])
+            assert exc.value.code == 2
+            assert "--range" in capsys.readouterr().err
+            assert main(["scan", "--family", "werner", "--range", "omega=0:1:0.5",
+                         "--out", out]) == 0
 
 
 class TestSubprocessDeterminism:

@@ -5,6 +5,7 @@ import pytest
 
 from steerqkd import (
     BadParam,
+    BadRange,
     BadWeights,
     bloch_decompose,
     classify_usefulness,
@@ -23,6 +24,7 @@ from steerqkd.families import (
     belldiag_reference_triple,
     gamma_correlation_diag,
     gamma_predicates,
+    scan_rows,
     werner_correlation_diag,
 )
 from steerqkd.filtering import FilterPair
@@ -216,3 +218,23 @@ class TestPredicates:
             pred = belldiag_predicates(p)
             if pred.useful:
                 assert pred.steerable
+
+
+class TestScanRanges:
+    @pytest.mark.parametrize("bounds", [
+        (math.nan, 1.0, 0.1), (0.0, math.nan, 0.1), (0.0, 1.0, math.nan),
+        (math.inf, 1.0, 0.1), (-math.inf, 1.0, 0.1), (0.0, math.inf, 0.1),
+        (0.0, -math.inf, 0.1), (0.0, 1.0, math.inf), (0.0, 1.0, -math.inf),
+    ])
+    def test_non_finite_range_is_bad_range(self, bounds):
+        lo, hi, step = bounds
+        with pytest.raises(BadRange, match=f"range omega={lo!r}:{hi!r}:{step!r} "):
+            scan_rows("werner", [("omega", lo, hi, step)])
+
+    @pytest.mark.parametrize("bounds, reason", [
+        ((0.0, 1.0, 0.0), "positive step"), ((0.0, 1.0, -0.1), "positive step"),
+        ((0.5, 0.4, 0.1), "reversed"),
+    ])
+    def test_bad_step_or_order_is_bad_range(self, bounds, reason):
+        with pytest.raises(BadRange, match=reason):
+            scan_rows("gamma", [("q", 0.0, 1.0, 0.5), ("alpha", *bounds)])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from steerqkd import (
     BadParam,
@@ -24,7 +26,7 @@ from steerqkd import (
 )
 from steerqkd.families import BellDiagonalParams, GammaParams, WernerParams
 from steerqkd.filtering import apply_local_filters
-from steerqkd.protocol import MAX_ROUNDS
+from steerqkd.protocol import MAX_ROUNDS, _draw_rounds, _outcomes
 
 SQRT3 = math.sqrt(3.0)
 
@@ -189,6 +191,67 @@ class TestReportEqualsRecords:
                 assert 0.0 in rep.correlators
                 return
         pytest.fail("no seed left a basis without sifted rounds")
+
+
+# Outcome weights per basis pair: small integers, so that zero-probability
+# outcomes (repeated thresholds) and pure outcomes (a single nonzero weight)
+# come up often.
+weight_tables = st.lists(st.lists(st.integers(0, 3), min_size=4, max_size=4),
+                         min_size=9, max_size=9)
+
+
+class TestOutcomeLookup:
+    """``_outcomes`` against the (N, 3) gathered compare-and-sum it replaces."""
+
+    @staticmethod
+    def oracle(cdf, a_idx, b_idx, u):
+        k = (u[:, None] >= cdf[a_idx, b_idx, :3]).sum(axis=1)
+        return (k >> 1).astype(np.uint8), (k & 1).astype(np.uint8)
+
+    @settings(max_examples=200, deadline=None)
+    @given(weight_tables, st.integers(0, 2 ** 32 - 1), st.booleans())
+    def test_matches_gathered_compare(self, weights, seed, matched):
+        w = np.array(weights, dtype=float)
+        w[w.sum(axis=1) == 0, 0] = 1.0
+        cdf = np.cumsum(w / w.sum(axis=1, keepdims=True), axis=1).reshape(3, 3, 4)
+        rng = np.random.default_rng(seed)
+        n = 600
+        a_idx = rng.integers(0, 3, size=n)
+        b_idx = a_idx if matched else rng.integers(0, 3, size=n)
+        u = rng.random(n)
+        # a third of the uniforms sit exactly on a threshold of their round
+        at = rng.integers(0, 3, size=n)
+        on = rng.random(n) < 1 / 3
+        u[on] = cdf[a_idx, b_idx, at][on]
+        u[:3] = 0.0
+        got = _outcomes(cdf.reshape(9, 4), a_idx.astype(np.uint8),
+                        b_idx.astype(np.uint8), u)
+        want = self.oracle(cdf, a_idx, b_idx, u)
+        for g, x in zip(got, want):
+            assert g.dtype == np.uint8
+            assert np.array_equal(g, x)
+
+    def test_draws_keep_the_stream(self):
+        # indices are drawn as int64 and only stored narrower
+        rho = make_gamma(GammaParams(q=0.9, alpha=0.25))
+        for f in (None, FilterPair(0.3, 0.25)):
+            cfg = werner_config(5000, 31, filter=f)
+            a_idx, b_idx, kept, u, cdf, _ = _draw_rounds(rho, cfg)
+            rng = np.random.default_rng(31)
+            assert a_idx.dtype == b_idx.dtype == np.uint8
+            assert np.array_equal(a_idx, rng.integers(0, 3, size=5000))
+            assert np.array_equal(b_idx, rng.integers(0, 3, size=5000))
+            if f is None:
+                assert kept is None
+            else:
+                p_succ = apply_local_filters(rho, f).p_succ
+                assert np.array_equal(kept, rng.random(5000) < p_succ)
+            assert np.array_equal(u, rng.random(5000))
+            assert cdf.shape == (9, 4)
+
+    def test_unfiltered_records_are_all_kept(self):
+        recs = round_records(make_werner(WernerParams(0.8)), werner_config(500, 4))
+        assert all(r.kept is True for r in recs)
 
 
 class TestStructure:

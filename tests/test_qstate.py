@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -219,6 +221,13 @@ class TestTensorSpectrum:
     def test_rejects_unsorted_sigma(self):
         with pytest.raises(InvalidState):
             TensorSpectrum((0.1, 0.5, 0.2), (0.1, 0.5, 0.2))
+
+    @pytest.mark.parametrize("i", range(3))
+    def test_rejects_nan_signed(self, i):
+        signed = [0.5, 0.4, 0.3]
+        signed[i] = math.nan
+        with pytest.raises(InvalidState, match="signed triple"):
+            TensorSpectrum((0.5, 0.4, 0.3), tuple(signed))
 
 
 class TestMeasurementTriad:
