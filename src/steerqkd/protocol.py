@@ -21,12 +21,20 @@ generator), consumed in this fixed order:
 Basis indices are drawn as int64, the default dtype of ``integers`` and
 part of the stream, and stored as ``uint8``, so the stream is unchanged.
 
+Each stage is drawn in chunks of at most ``2**16`` rounds, one stage after
+the other.  The chunks concatenate to the whole-length draw bit for bit:
+``random`` spends one 64-bit output per double, and ``integers(0, 3)``
+takes its 32-bit draws from the generator's own buffer of spare 32-bit
+halves, which persists from one call to the next.  (``uint8`` draws of the
+indices would consume the stream differently, so the chunks stay int64.)
+No 8-byte array as long as ``rounds`` is built.
+
 Outcomes are sampled by inverse CDF over the four Born probabilities in
 lexicographic (a, b) order: (0,0), (0,1), (1,0), (1,1).  Identical inputs
 therefore reproduce bit-identical reports.  Outcome uniforms are drawn for
-every round, but :func:`run_protocol` looks up outcome bits only for the
+every round, but :func:`run_protocol` keeps and looks up only those of the
 sifted rounds, the only ones any statistic reads; :func:`round_records`
-looks them up for every round from the same stream.
+keeps and looks them up for every round from the same stream.
 """
 
 from __future__ import annotations
@@ -56,6 +64,9 @@ from .qstate import (
 
 #: Most rounds one run may draw: numpy cannot index more 8-byte draws.
 MAX_ROUNDS = np.iinfo(np.intp).max // 8
+
+#: Rounds per chunk of each draw stage (see the randomness contract).
+_CHUNK = 2 ** 16
 
 
 def _integer(value) -> int | None:
@@ -156,25 +167,54 @@ def _measured_state(rho: DensityMatrix, pair: FilterPair | None):
     return outcome.filtered_state, outcome.p_succ
 
 
-def _draw_rounds(rho: DensityMatrix, cfg: ProtocolConfig):
-    """Basis indices, heralding mask and outcome uniforms in the documented
-    RNG order, plus the outcome CDF table and the analytic heralding rate.
+def _chunks(n: int):
+    """``(lo, hi)`` bounds of the successive draw chunks of ``n`` rounds."""
+    for lo in range(0, n, _CHUNK):
+        yield lo, min(lo + _CHUNK, n)
 
-    The mask is None without filtering: every round is kept.  The CDF table
-    has one row per basis pair, row ``a * 3 + b``.
+
+def _draw_rounds(rho: DensityMatrix, cfg: ProtocolConfig, every_round: bool = False):
+    """Basis indices, heralding mask, the rounds ``rows`` whose outcome
+    uniforms ``u`` are kept and those uniforms, drawn chunk by chunk in the
+    documented RNG order, plus the outcome CDF table and the analytic
+    heralding rate.
+
+    ``rows`` are the sifted rounds (matched bases, and kept when filtering)
+    in increasing order, or every round when ``every_round``.  The mask is
+    None without filtering: every round is kept.  The CDF table has one row
+    per basis pair, row ``a * 3 + b``.
     """
     measured, p_succ = _measured_state(rho, cfg.filter)
     cdf = _outcome_cdfs(bloch_decompose(measured), cfg).reshape(9, 4)
     rng = np.random.default_rng(cfg.seed)
     n = cfg.rounds
     try:
-        a_idx = rng.integers(0, 3, size=n).astype(np.uint8)
-        b_idx = rng.integers(0, 3, size=n).astype(np.uint8)
-        kept = None if p_succ is None else rng.random(n) < p_succ
-        u = rng.random(n)
+        a_idx, b_idx = np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.uint8)
+        for idx in (a_idx, b_idx):
+            for lo, hi in _chunks(n):
+                idx[lo:hi] = rng.integers(0, 3, size=hi - lo).astype(np.uint8)
+        buf = np.empty(min(n, _CHUNK))
+        kept = None
+        if p_succ is not None:
+            kept = np.empty(n, dtype=bool)
+            for lo, hi in _chunks(n):
+                np.less(rng.random(out=buf[:hi - lo]), p_succ, out=kept[lo:hi])
+        if every_round:
+            rows = np.arange(n)
+        else:
+            matched = a_idx == b_idx
+            if kept is not None:
+                matched &= kept
+            rows = np.flatnonzero(matched)
+        u = np.empty(rows.size)
+        start = 0
+        for lo, hi in _chunks(n):
+            stop = int(np.searchsorted(rows, hi))
+            u[start:stop] = rng.random(out=buf[:hi - lo])[rows[start:stop] - lo]
+            start = stop
     except MemoryError as exc:
         raise BadParam(f"rounds {n} do not fit in memory") from exc
-    return a_idx, b_idx, kept, u, cdf, p_succ
+    return a_idx, b_idx, kept, rows, u, cdf, p_succ
 
 
 def _outcomes(cdf, a_idx, b_idx, u) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +236,7 @@ def round_records(rho: DensityMatrix, cfg: ProtocolConfig) -> list[RoundRecord]:
     Uses the same RNG stream as :func:`run_protocol`, so the records are
     exactly the rounds that run aggregates.  Intended for small ``rounds``.
     """
-    a_idx, b_idx, kept, u, cdf, _ = _draw_rounds(rho, cfg)
+    a_idx, b_idx, kept, _, u, cdf, _ = _draw_rounds(rho, cfg, every_round=True)
     a_out, b_out = _outcomes(cdf, a_idx, b_idx, u)
     return [
         RoundRecord(
@@ -222,16 +262,12 @@ def run_protocol(rho: DensityMatrix, cfg: ProtocolConfig) -> SimulationReport:
     FilterAnnihilates
         Propagated from the filtering step in filtering mode.
     """
-    a_idx, b_idx, kept, u, cdf, p_succ = _draw_rounds(rho, cfg)
-    matched = a_idx == b_idx
-    if kept is not None:
-        matched &= kept
-    sift = np.flatnonzero(matched)
+    a_idx, _, kept, sift, u, cdf, p_succ = _draw_rounds(rho, cfg)
     if sift.size == 0:
         raise DegenerateConfig(
             f"{cfg.rounds} rounds produced no sifted rounds to disclose")
     basis = a_idx[sift]
-    a_out, b_out = _outcomes(cdf, basis, basis, u[sift])
+    a_out, b_out = _outcomes(cdf, basis, basis, u)
     mismatch = a_out != b_out
     n_disc = math.ceil(cfg.test_fraction * sift.size)
     count = np.bincount(basis, minlength=3).tolist()

@@ -67,24 +67,40 @@ def is_chsh_violating(spec: TensorSpectrum) -> bool:
     return verdict(spec).chsh_violating
 
 
+def _simplex_failures(w1, w2, w3, w4):
+    """The simplex checks of Bell-diagonal weights, in order: not finite,
+    outside [0, 1], sum off 1.  Each is true where it fails, for four floats
+    or four arrays (an (N, 4) array transposed); NaN and inf fail
+    ``abs(w) < inf``."""
+    finite = ((abs(w1) < math.inf) & (abs(w2) < math.inf)
+              & (abs(w3) < math.inf) & (abs(w4) < math.inf))
+    lo, hi = -WEIGHT_TOL, 1.0 + WEIGHT_TOL
+    outside = ((w1 < lo) | (w1 > hi) | (w2 < lo) | (w2 > hi)
+               | (w3 < lo) | (w3 > hi) | (w4 < lo) | (w4 > hi))
+    return (np.logical_not(finite), outside,
+            abs(((w1 + w2) + w3) + w4 - 1.0) > WEIGHT_TOL)
+
+
+def _weights_error(check: int, ws: tuple[float, ...]) -> BadWeights:
+    return BadWeights(("weights must be finite",
+                       f"weights outside [0, 1]: {ws}",
+                       f"weights sum to {sum(ws)!r}, expected 1")[check])
+
+
 def check_weights(w: np.ndarray) -> None:
     """Raise :class:`BadWeights` for the first row of ``w`` (N, 4) off the simplex."""
-    hit = _first_failure(
-        ~np.isfinite(w).all(axis=1),
-        ((w < -WEIGHT_TOL) | (w > 1.0 + WEIGHT_TOL)).any(axis=1),
-        np.abs(((w[:, 0] + w[:, 1]) + w[:, 2]) + w[:, 3] - 1.0) > WEIGHT_TOL)
+    hit = _first_failure(*_simplex_failures(*w.T))
     if hit is not None:
-        ws = tuple(w[hit[0]].tolist())
-        raise BadWeights(("weights must be finite",
-                          f"weights outside [0, 1]: {ws}",
-                          f"weights sum to {sum(ws)!r}, expected 1")[hit[1]])
+        raise _weights_error(hit[1], tuple(w[hit[0]].tolist()))
 
 
 def _validated_weights(w) -> tuple[float, float, float, float]:
     ws = tuple(_as_real(x, BadWeights, "weights") for x in w)
     if len(ws) != 4:
         raise BadWeights(f"expected four weights, got {len(ws)}")
-    check_weights(np.array([ws]))
+    failed = _simplex_failures(*ws)
+    if any(failed):
+        raise _weights_error(failed.index(True), ws)
     return ws
 
 

@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +31,7 @@ from steerqkd.filtering import apply_local_filters
 from steerqkd.protocol import MAX_ROUNDS, _draw_rounds, _outcomes
 
 SQRT3 = math.sqrt(3.0)
+CHUNK = 2 ** 16  # rounds per draw chunk
 
 
 def werner_config(rounds, seed, omega=0.8, **kw):
@@ -192,6 +195,14 @@ class TestReportEqualsRecords:
                 return
         pytest.fail("no seed left a basis without sifted rounds")
 
+    def test_above_one_chunk(self):
+        rho = make_gamma(GammaParams(q=0.9, alpha=0.25))
+        f = FilterPair(0.3, 0.25)
+        ta, tb = optimal_triads(bloch_decompose(apply_local_filters(rho, f).filtered_state))
+        cfg = ProtocolConfig(rounds=CHUNK + 4099, seed=29, alice_triad=ta,
+                             bob_triad=tb, filter=f)
+        assert_report_matches_records(rho, cfg)
+
 
 # Outcome weights per basis pair: small integers, so that zero-probability
 # outcomes (repeated thresholds) and pure outcomes (a single nonzero weight)
@@ -232,22 +243,37 @@ class TestOutcomeLookup:
             assert np.array_equal(g, x)
 
     def test_draws_keep_the_stream(self):
-        # indices are drawn as int64 and only stored narrower
+        # Each stage is drawn in chunks of 2**16 rounds, with int64 indices
+        # stored narrower; at and around the chunk boundaries the draws must
+        # equal one whole-length draw of the stream.
         rho = make_gamma(GammaParams(q=0.9, alpha=0.25))
-        for f in (None, FilterPair(0.3, 0.25)):
-            cfg = werner_config(5000, 31, filter=f)
-            a_idx, b_idx, kept, u, cdf, _ = _draw_rounds(rho, cfg)
-            rng = np.random.default_rng(31)
-            assert a_idx.dtype == b_idx.dtype == np.uint8
-            assert np.array_equal(a_idx, rng.integers(0, 3, size=5000))
-            assert np.array_equal(b_idx, rng.integers(0, 3, size=5000))
-            if f is None:
-                assert kept is None
-            else:
-                p_succ = apply_local_filters(rho, f).p_succ
-                assert np.array_equal(kept, rng.random(5000) < p_succ)
-            assert np.array_equal(u, rng.random(5000))
-            assert cdf.shape == (9, 4)
+        for f, rounds, seed in itertools.product(
+                (None, FilterPair(0.3, 0.25)),
+                (1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17), (5, 2 ** 63 - 1)):
+            rng = np.random.default_rng(seed)
+            want_a = rng.integers(0, 3, size=rounds)
+            want_b = rng.integers(0, 3, size=rounds)
+            want_kept = None
+            sifted = want_a == want_b
+            if f:
+                want_kept = rng.random(rounds) < apply_local_filters(rho, f).p_succ
+                sifted &= want_kept
+            want_u = rng.random(rounds)
+            cfg = werner_config(rounds, seed, filter=f)
+            for every_round in (False, True):
+                a_idx, b_idx, kept, rows, u, cdf, _ = _draw_rounds(rho, cfg, every_round)
+                assert a_idx.dtype == b_idx.dtype == np.uint8
+                assert np.array_equal(a_idx, want_a)
+                assert np.array_equal(b_idx, want_b)
+                if f:
+                    assert np.array_equal(kept, want_kept)
+                else:
+                    assert kept is None
+                want_rows = np.arange(rounds) if every_round else np.flatnonzero(sifted)
+                assert np.array_equal(rows, want_rows)
+                # bit patterns, so that even a signed zero would count
+                assert np.array_equal(u.view(np.int64), want_u[want_rows].view(np.int64))
+                assert cdf.shape == (9, 4)
 
     def test_unfiltered_records_are_all_kept(self):
         recs = round_records(make_werner(WernerParams(0.8)), werner_config(500, 4))
@@ -273,6 +299,20 @@ class TestStructure:
         # 5 sigma binomial window around 1/3
         sd = math.sqrt(90000 * (1 / 3) * (2 / 3))
         assert abs(rep.sifted_count - 30000) < 5 * sd
+
+    def test_peak_memory_of_a_million_rounds(self):
+        # Whole-length draws peak at 19.4 MiB here (two int64 index draws
+        # and the outcome uniforms, 8 MB each); chunked draws at ~10.8 MiB.
+        rho = make_werner(WernerParams(0.8))
+        cfg = werner_config(10 ** 6, 1)
+        run_protocol(rho, cfg)
+        tracemalloc.start()
+        try:
+            run_protocol(rho, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2 ** 20
 
     def test_no_filter_reports_none(self):
         rho = make_werner(WernerParams(0.8))

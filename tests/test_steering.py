@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_density_matrix, random_triad, random_unitary
 from steerqkd import (
@@ -19,11 +21,14 @@ from steerqkd import (
 )
 from steerqkd.families import BellDiagonalParams, WernerParams
 from steerqkd.qber import optimal_triads
+from steerqkd.qstate import _as_real
 from steerqkd.steering import (
+    WEIGHT_TOL,
     belldiag_absolute_chsh_value,
     belldiag_absolutely_chsh_local,
     belldiag_f3_bound,
     belldiag_f3_steerable,
+    check_weights,
 )
 
 SQRT3 = math.sqrt(3.0)
@@ -164,6 +169,71 @@ class TestBellDiagonalClosedForms:
             belldiag_f3_bound([0.5, 0.5, 0.5, -0.5])
         with pytest.raises(BadWeights):
             belldiag_f3_bound([0.3, 0.3, 0.3, 0.3])
+
+
+# One weight: any float (NaN, inf and out-of-range ones included), a value
+# that float() accepts but the checks refuse, or a near-simplex value.
+weight = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([math.nan, math.inf, -math.inf, -1e-9, 1.0 + 1e-9, 0.0, 1.0]),
+    st.booleans(), st.text(max_size=3), st.integers(-2, 2), st.floats(0.0, 1.0))
+
+
+@st.composite
+def near_simplex(draw):
+    """Three weights in [0, 1] and a fourth that misses the sum 1 by a
+    drawn offset, on either side of the tolerance."""
+    w = [draw(st.floats(0.0, 1.0)) for _ in range(3)]
+    off = draw(st.sampled_from([0.0, 5e-11, -5e-11, 2e-10, -2e-10, 0.5]))
+    return [*w, 1.0 - sum(w) + off]
+
+
+def outcome(check, *args):
+    """The message of the BadWeights ``check`` raises, or None; any other
+    exception fails the test."""
+    try:
+        check(*args)
+    except BadWeights as exc:
+        return str(exc)
+    return None
+
+
+def simplex_oracle(w):
+    """The weight checks written out one by one, in their order."""
+    ws = tuple(_as_real(x, BadWeights, "weights") for x in w)
+    if len(ws) != 4:
+        raise BadWeights(f"expected four weights, got {len(ws)}")
+    if not all(math.isfinite(x) for x in ws):
+        raise BadWeights("weights must be finite")
+    if any(not -WEIGHT_TOL <= x <= 1.0 + WEIGHT_TOL for x in ws):
+        raise BadWeights(f"weights outside [0, 1]: {ws}")
+    if abs(((ws[0] + ws[1]) + ws[2]) + ws[3] - 1.0) > WEIGHT_TOL:
+        raise BadWeights(f"weights sum to {sum(ws)!r}, expected 1")
+
+
+def stack_path(w):
+    """One 4-tuple through the (N, 4) stack check, behind a valid row."""
+    ws = [_as_real(x, BadWeights, "weights") for x in w]
+    if len(ws) != 4:
+        raise BadWeights(f"expected four weights, got {len(ws)}")
+    with np.errstate(invalid="ignore"):  # inf + -inf in the sum check
+        check_weights(np.array([[0.25] * 4, ws]))
+
+
+class TestWeightChecks:
+    """The scalar 4-tuple path and the stack path refuse the same weights
+    with the same error, in the same check order, and accept the same ones."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(weight, min_size=4, max_size=4), near_simplex(),
+                     st.lists(st.floats(0.0, 1.0), min_size=3, max_size=5)))
+    def test_tuple_and_stack_paths_agree(self, w):
+        want = outcome(simplex_oracle, w)
+        assert outcome(stack_path, w) == want
+        assert outcome(belldiag_f3_bound, w) == want
+        assert outcome(belldiag_absolute_chsh_value, w) == want
+        if len(w) == 4:
+            assert outcome(BellDiagonalParams, *w) == want
 
 
 class TestAbsoluteChshLocality:
